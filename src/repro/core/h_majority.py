@@ -6,29 +6,30 @@ at random among the tied opinions.  ``h = 1`` reduces to the Voter model;
 ``h = 3`` agrees in distribution with :class:`~repro.core.three_majority.
 ThreeMajority` (a property the tests verify).
 
-On the complete graph the next-opinion law is common to all vertices, so
-the population step draws each vertex's ``h`` samples from ``alpha``,
-computes the majority winner per vertex in a vectorised pass, and
-histograms the winners.  This costs O(n h^2) per round — not O(#alive)
-like 3-Majority's closed form, because the majority-of-h law has no
-polynomial-size sufficient statistic for general ``h`` — but remains exact.
+On the complete graph the next-opinion law is common to all vertices and
+has an exact polynomial-size form (:func:`hmajority_law`), so a
+population round is one multinomial draw from it — like 3-Majority's
+eq. (5), independent of ``n``.  The per-vertex graph step still samples
+``h`` neighbours and takes the plurality (:func:`majority_winners`).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from repro.backends import active_backend, backend_kernel, quarantine_kernel
 from repro.core.base import (
     Dynamics,
-    iter_row_chunks,
+    batch_multinomial_counts,
+    multinomial_counts,
     sample_holders_batch,
-    sample_opinions_from_counts,
-    sample_opinions_from_counts_batch,
 )
 from repro.graphs.base import Graph
 
-__all__ = ["HMajority", "majority_winners"]
+__all__ = ["HMajority", "hmajority_law", "majority_winners"]
 
 
 def majority_winners(
@@ -90,6 +91,142 @@ def majority_winners(
     return samples[np.arange(n), winner_pos]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    # Cached tables are shared by every caller.
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss–Legendre nodes and weights on ``[0, 1]``."""
+    nodes, weights = np.polynomial.legendre.leggauss(num_nodes)
+    return _read_only((nodes + 1.0) / 2.0), _read_only(weights / 2.0)
+
+
+@lru_cache(maxsize=None)
+def _binomials(size: int) -> np.ndarray:
+    """``table[c, s] = C(c, s)`` for ``0 <= s <= c < size`` (else 0)."""
+    table = np.zeros((size, size))
+    table[:, 0] = 1.0
+    for c in range(1, size):
+        table[c, 1:] = table[c - 1, 1:] + table[c - 1, :-1]
+    return _read_only(table)
+
+
+def _egf_product(
+    a: np.ndarray, b: np.ndarray, degree: int, binom: np.ndarray
+) -> np.ndarray:
+    """Product of two EGF-normalised polynomials, truncated at ``degree``.
+
+    Coefficients live on the last axis (leading axes broadcast) and are
+    stored as ``c! [y^c]``, so the product is the binomial convolution
+    ``out[c] = sum_s C(c, s) a[s] b[c - s]``.  Everything is
+    nonnegative, so there is no cancellation.  The loop runs over the
+    shorter factor's coefficients, one array slice at a time.
+    """
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    width = min(a.shape[-1] + b.shape[-1] - 1, degree + 1)
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (width,)
+    out = np.zeros(shape)
+    for s in range(min(a.shape[-1], width)):
+        span = min(b.shape[-1], width - s)
+        out[..., s:s + span] += (
+            a[..., s:s + 1] * b[..., :span] * binom[s:s + span, s]
+        )
+    return out
+
+
+def _capped_rival_mass(
+    powers: np.ndarray, m: int, degree: int, binom: np.ndarray
+) -> np.ndarray:
+    """``∫₀¹ degree! [y^degree] ∏_{j≠i} g_j(y, u) du`` for every label i.
+
+    ``g_j = sum_{c<m} (α_j y)^c/c! + u (α_j y)^m/m!`` is rival ``j``'s
+    EGF when it may hold at most ``m`` of the remaining ``degree``
+    samples, with ``u`` marking a tie at ``m``.  ``powers[r, j, c]`` is
+    ``α_j^c``.  Leave-one-out products come from a padded product tree
+    over labels (up pass, then down pass), vectorised over rows and
+    quadrature nodes.  At most ``degree // m`` rivals can tie, so the
+    integrand has that degree in ``u`` and the quadrature is exact.
+    """
+    num_rows, k = powers.shape[:2]
+    ties = min(degree // m, k - 1)
+    nodes, weights = _gauss_legendre(ties // 2 + 1)
+    leaves = 1 << (k - 1).bit_length()
+    leaf = np.zeros((nodes.size, num_rows, leaves, m + 1))
+    leaf[:, :, :k, :m] = powers[:, :, :m]
+    leaf[:, :, :k, m] = nodes[:, None, None] * powers[:, :, m]
+    leaf[:, :, k:, 0] = 1.0  # padding leaves are the empty product
+    levels = [leaf]
+    while levels[-1].shape[2] > 1:
+        level = levels[-1]
+        levels.append(
+            _egf_product(level[:, :, 0::2], level[:, :, 1::2], degree, binom)
+        )
+    # Down pass: the product over everything outside each node's subtree.
+    outside = np.ones((nodes.size, num_rows, 1, 1))
+    for children in reversed(levels[1:-1]):
+        siblings = children.reshape(
+            children.shape[:2] + (-1, 2, children.shape[-1])
+        )[..., ::-1, :]
+        outside = _egf_product(
+            outside[:, :, :, None, :], siblings, degree, binom
+        ).reshape(nodes.size, num_rows, children.shape[2], -1)
+    # Leaf level: only coefficient ``degree`` of outside × sibling.
+    padded = np.zeros(outside.shape[:3] + (degree + 1,))
+    padded[..., :outside.shape[-1]] = outside
+    siblings = leaf.reshape(leaf.shape[:2] + (-1, 2, m + 1))[..., ::-1, :]
+    coefficient = np.einsum(
+        "qrnpt,qrnt,t->qrnp",
+        siblings,
+        padded[..., degree - m:][..., ::-1],
+        binom[degree, :m + 1],
+    ).reshape(nodes.size, num_rows, leaves)
+    return np.tensordot(weights, coefficient[:, :, :k], axes=1)
+
+
+def hmajority_law(alpha: np.ndarray, h: int) -> np.ndarray:
+    """Exact majority-of-h next-opinion law, row-wise.
+
+    ``alpha`` is one opinion-fraction vector ``(k,)`` or a matrix
+    ``(R, k)`` of them; the result has the same shape.  Label ``i``
+    wins when it holds ``m`` of the ``h`` samples, every rival holds at
+    most ``m``, and the uniform tie-break among the ``T`` rivals at
+    ``m`` picks ``i``.  With ``E[1/(1+T)] = ∫₀¹ u^T du``,
+
+        P(i wins) = Σₘ C(h, m) αᵢᵐ ∫₀¹ (h-m)! [y^(h-m)]
+                    ∏_{j≠i} (Σ_{c<m} (αⱼy)ᶜ/c! + u (αⱼy)ᵐ/m!) du.
+
+    When ``m > h - m`` no rival can reach ``m`` and the inner term is
+    ``(1 - αᵢ)^(h-m)``; otherwise :func:`_capped_rival_mass` evaluates
+    it.  Labels dead in every row are dropped first.  Python loops run
+    over ``m``, tree levels and coefficient slices only, never over
+    rows or labels.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    rows = np.atleast_2d(alpha)
+    live = np.flatnonzero(rows.any(axis=0))
+    x = rows[:, live]
+    k = live.size
+    rest = np.clip(x.sum(axis=1, keepdims=True) - x, 0.0, None)
+    powers = x[..., None] ** np.arange(h // 2 + 1)
+    binom = _binomials(h)
+    live_law = np.zeros_like(x)
+    # The winner holds at least ceil(h / k) of the h samples.
+    for m in range(max(1, -(-h // max(k, 1))), h + 1):
+        degree = h - m
+        if m > degree:
+            inner = rest**degree
+        else:
+            inner = _capped_rival_mass(powers, m, degree, binom)
+        live_law += comb(h, m) * x**m * inner
+    law = np.zeros_like(rows)
+    law[:, live] = live_law
+    return law.reshape(alpha.shape)
+
+
 class HMajority(Dynamics):
     """Majority-of-h dynamics with uniform random tie-breaking.
 
@@ -97,32 +234,14 @@ class HMajority(Dynamics):
     ----------
     h:
         Neighbour samples per vertex per round.
-    batch_element_budget:
-        Memory guard for :meth:`population_step_batch`: the shared
-        ``(R, n*h)`` sample matrix is chunked row-wise so it never
-        outgrows this many elements per call (default
-        :data:`~repro.core.base.BATCH_ELEMENT_BUDGET` = 2**22; the
-        counting/jitter buffers alongside it put the peak at a few
-        times the budget in bytes).  Purely a space/batching knob —
-        chunked and unchunked paths sample the same chain (tests
-        KS-check this).
     """
 
-    def __init__(
-        self, h: int, batch_element_budget: int | None = None
-    ) -> None:
+    def __init__(self, h: int) -> None:
         if h < 1:
             raise ValueError(f"h must be at least 1, got {h}")
         self.h = int(h)
         self.name = f"{self.h}-majority(sampled)"
         self.samples_per_round = self.h
-        if batch_element_budget is not None:
-            if batch_element_budget < 1:
-                raise ValueError(
-                    "batch_element_budget must be positive, got "
-                    f"{batch_element_budget}"
-                )
-            self.batch_element_budget = int(batch_element_budget)
 
     def population_step(
         self, counts: np.ndarray, rng: np.random.Generator
@@ -131,64 +250,23 @@ class HMajority(Dynamics):
         if alive.size == 1:
             return counts.copy()
         n = int(counts.sum())
-        samples = sample_opinions_from_counts(
-            counts[alive], (n, self.h), rng
-        )
-        winners = majority_winners(samples, rng)
+        law = hmajority_law(counts[alive] / n, self.h)
         new_counts = np.zeros_like(counts)
-        new_counts[alive] = np.bincount(winners, minlength=alive.size)
+        new_counts[alive] = multinomial_counts(n, law, rng, self.name)
         return new_counts
 
     def population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """All R replicas through one shared-sample majority pass.
+        """All R replicas in one multinomial call from the exact law.
 
-        Draws every replica's ``(n, h)`` neighbour samples in one
-        row-wise batched call and flattens them through
-        :func:`majority_winners` once — one O(h^2) vectorised counting
-        pass over ``R * n`` rows instead of R separate passes.  The
-        ``R * n * h`` sample matrix is the memory hot spot, so replica
-        rows are chunked to keep live scratch under
-        ``batch_element_budget`` elements (see the class docstring);
-        chunking changes memory and call granularity only, not the
-        sampled chain.
+        Rows may have different masses; consensus rows are fixed points
+        of the law (the winner has probability 1).
         """
         counts = np.asarray(counts, dtype=np.int64)
-        num_rows, k = counts.shape
         totals = counts.sum(axis=1)
-        if (totals != totals[0]).any():
-            # The shared-sample layout needs one common n; uneven rows
-            # (never produced by the batch engine) take the row loop.
-            return super().population_step_batch(counts, rng)
-        n = int(totals[0])
-        kernel = backend_kernel("hmajority_population_batch")
-        if kernel is not None:
-            # Fused draw+count+histogram pass: the (rows, n*h) shared
-            # sample matrix is never materialised, so there is nothing
-            # to chunk and the element budget does not apply.
-            try:
-                return kernel(counts, self.h, rng)
-            except Exception as exc:
-                quarantine_kernel(
-                    active_backend(), "hmajority_population_batch", exc
-                )
-        new_counts = np.empty_like(counts)
-        for start, stop in iter_row_chunks(
-            num_rows, n * self.h, self.batch_element_budget
-        ):
-            rows = stop - start
-            samples = sample_opinions_from_counts_batch(
-                counts[start:stop], n * self.h, rng, dtype=np.int32
-            )
-            winners = majority_winners(
-                samples.reshape(rows * n, self.h), rng
-            ).reshape(rows, n)
-            offsets = np.arange(rows, dtype=np.int64)[:, None] * k
-            new_counts[start:stop] = np.bincount(
-                (winners + offsets).reshape(-1), minlength=rows * k
-            ).reshape(rows, k)
-        return new_counts
+        law = hmajority_law(counts / totals[:, None], self.h)
+        return batch_multinomial_counts(totals, law, rng, self.name)
 
     def agent_step(
         self,
@@ -206,12 +284,9 @@ class HMajority(Dynamics):
 
         Per row: the updating vertex's opinion plus its ``h`` neighbour
         samples (integer-exact draws) reduced by the shared
-        :func:`majority_winners` pass.  Sampling the majority directly
-        is distribution-equal to the exact enumerated law of
-        :meth:`single_vertex_law` but has no support-size/h ceiling, so
-        — unlike the sequential asynchronous step, which inherits that
-        law's ``NotImplementedError`` guard — the batched tick works
-        for any ``h`` and any support.
+        :func:`majority_winners` pass.  One vertex per row costs
+        O(R h^2), cheaper than building :func:`hmajority_law` every
+        tick, and samples the same law.
         """
         counts = np.asarray(counts, dtype=np.int64)
         draws = sample_holders_batch(counts, self.h + 1, rng)
@@ -225,44 +300,12 @@ class HMajority(Dynamics):
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int
     ) -> np.ndarray:
-        """Exact majority-of-h law by dynamic programming over counts.
+        """Exact majority-of-h law (:func:`hmajority_law`).
 
-        Only intended for small ``h`` and small support (used by the
-        asynchronous engine and by tests); cost grows quickly with both.
-        For ``h <= 2`` closed forms are used.
+        The law does not depend on the vertex's current opinion.
         """
-        alpha = np.asarray(alpha, dtype=np.float64)
-        if self.h == 1:
-            return alpha.copy()
-        support = np.flatnonzero(alpha > 0)
-        if support.size > 12 or self.h > 8:
-            raise NotImplementedError(
-                "exact h-majority law is exponential in the support size; "
-                f"support={support.size}, h={self.h} is too large"
-            )
-        law = np.zeros_like(alpha)
-        # Enumerate compositions of h over the support.
-        from itertools import product
-
-        from math import factorial
-
-        h = self.h
-        fact_h = factorial(h)
-        for combo in product(range(h + 1), repeat=support.size):
-            if sum(combo) != h:
-                continue
-            prob = fact_h
-            for c, idx in zip(combo, support):
-                prob *= alpha[idx] ** c / factorial(c)
-            top = max(combo)
-            winners = [
-                idx for c, idx in zip(combo, support) if c == top
-            ]
-            share = prob / len(winners)
-            for idx in winners:
-                law[idx] += share
-        return law
+        return hmajority_law(alpha, self.h)
 
     def expected_alpha_next(self, alpha: np.ndarray) -> np.ndarray:
-        """Exact mean via :meth:`single_vertex_law` (small supports only)."""
-        return self.single_vertex_law(np.asarray(alpha, dtype=np.float64), 0)
+        """Exact mean: the next fractions' mean is the per-vertex law."""
+        return hmajority_law(alpha, self.h)

@@ -5,7 +5,7 @@ gained ``population_step_batch`` overrides:
 
 * **distributional equivalence** — KS tests of batch vs sequential
   consensus times for the Median rule, the Undecided-State Dynamics and
-  sampled h-Majority, plus chunked-vs-unchunked h-Majority;
+  h-Majority, plus chunked-vs-unchunked Median;
 * **label conventions** — USD's ``k + 1``-label consensus convention
   (one *decided* opinion holds everything; all-undecided is censored,
   never a winner) as seen through the batch engine;
@@ -253,34 +253,38 @@ class TestUndecidedConsensusConvention:
         assert result.winner is None
 
 
-class TestHMajorityChunking:
-    """Chunked and unchunked shared-sample paths sample the same chain."""
+class TestMedianChunking:
+    """Chunked and unchunked Median group-law paths sample the same chain."""
+
+    @staticmethod
+    def _median(budget: int) -> MedianRule:
+        dynamics = MedianRule()
+        dynamics.batch_element_budget = budget
+        return dynamics
 
     def test_one_step_distribution_equal(self):
         start = balanced(256, 4)
         matrix = np.tile(start, (300, 1))
-        unchunked = HMajority(5).population_step_batch(
+        unchunked = MedianRule().population_step_batch(
             matrix, np.random.default_rng(1)
         )
-        # budget < n*h forces one row per vectorised call.
-        chunked = HMajority(
-            5, batch_element_budget=500
-        ).population_step_batch(matrix, np.random.default_rng(2))
+        # budget < k*k forces one row per vectorised call.
+        chunked = self._median(8).population_step_batch(
+            matrix, np.random.default_rng(2)
+        )
         assert (chunked.sum(axis=1) == 256).all()
         statistic, p_value = ks_2samp(unchunked[:, 0], chunked[:, 0])
         assert p_value > 1e-3, (statistic, p_value)
 
     def test_consensus_times_distribution_equal(self):
         counts = balanced(256, 4)
-        plain = _batch_times(HMajority(5), counts, 80, seed=5)
-        chunked = _batch_times(
-            HMajority(5, batch_element_budget=2048), counts, 80, seed=6
-        )
+        plain = _batch_times(MedianRule(), counts, 80, seed=5)
+        chunked = _batch_times(self._median(40), counts, 80, seed=6)
         statistic, p_value = ks_2samp(plain, chunked)
         assert p_value > 1e-3, (statistic, p_value)
 
     def test_engine_element_budget_knob(self):
-        dynamics = HMajority(5, batch_element_budget=9999)
+        dynamics = self._median(9999)
         engine = BatchPopulationEngine(
             dynamics,
             balanced(64, 4),
@@ -296,24 +300,11 @@ class TestHMajorityChunking:
     def test_engine_rejects_bad_element_budget(self):
         with pytest.raises(ConfigurationError, match="element_budget"):
             BatchPopulationEngine(
-                HMajority(5),
+                MedianRule(),
                 balanced(64, 4),
                 num_replicas=2,
                 element_budget=0,
             )
-
-    def test_constructor_rejects_bad_budget(self):
-        with pytest.raises(ValueError, match="batch_element_budget"):
-            HMajority(5, batch_element_budget=-1)
-
-    def test_uneven_row_mass_falls_back_to_row_loop(self):
-        # Direct calls with unequal row masses are outside the engine's
-        # contract but must still be exact (row-loop fallback).
-        matrix = np.asarray([[30, 30, 40], [10, 20, 30]])
-        out = HMajority(3).population_step_batch(
-            matrix, np.random.default_rng(0)
-        )
-        assert out.sum(axis=1).tolist() == [100, 60]
 
 
 class TestBatchedSamplingHelpers:

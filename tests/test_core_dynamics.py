@@ -15,10 +15,14 @@ The load-bearing checks:
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from repro.core import (
     HMajority,
@@ -31,8 +35,9 @@ from repro.core import (
     two_choices_law,
     with_undecided_slot,
 )
-from repro.core.h_majority import majority_winners
+from repro.core.h_majority import hmajority_law, majority_winners
 from repro.graphs import CompleteGraph
+from repro.simulation import Simulation
 from repro.state import agents_to_counts, counts_to_agents
 
 ALL_SIMPLE_DYNAMICS = [
@@ -252,16 +257,23 @@ class TestHMajority:
             assert law.sum() == pytest.approx(1.0)
             assert np.all(law >= 0)
 
-    def test_exact_law_refuses_huge_support(self):
+    def test_exact_law_handles_wide_support(self):
         alpha = np.full(20, 1 / 20)
-        with pytest.raises(NotImplementedError):
-            HMajority(3).single_vertex_law(alpha, 0)
+        law = HMajority(3).single_vertex_law(alpha, 0)
+        assert law == pytest.approx(alpha, abs=1e-15)
+        # The sequential async engine builds the law every tick, so it
+        # runs for any h and support.
+        results = (
+            Simulation.of("9-majority").n(32).k(16).engine("async")
+            .seed(0).max_rounds(200).run()
+        )
+        assert results.num_converged == 1
 
     def test_population_step_matches_exact_law(self, rng):
         n = 100_000
         counts = np.asarray([n // 2, n // 4, n // 4])
         alpha = counts / n
-        law = HMajority(5).single_vertex_law(alpha, 0)
+        law = enumerated_law(alpha, 5)
         new = HMajority(5).population_step(counts, rng)
         sigma = np.sqrt(n * law * (1 - law))
         assert np.all(np.abs(new - n * law) < 5 * sigma)
@@ -271,6 +283,104 @@ class TestHMajority:
         p3 = HMajority(3).single_vertex_law(alpha, 0)[0]
         p7 = HMajority(7).single_vertex_law(alpha, 0)[0]
         assert p7 > p3 > alpha[0]
+
+
+def enumerated_law(alpha, h, ties="uniform"):
+    """Brute-force majority-of-h law: the independent test oracle.
+
+    Sums the multinomial probability of every h-multiset of live
+    labels and credits its plurality winner(s): uniformly among tied
+    labels, or (``ties="lowest"``, a deliberately wrong law) all to the
+    lowest tied label.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    law = np.zeros_like(alpha)
+    for multiset in combinations_with_replacement(
+        np.flatnonzero(alpha > 0), h
+    ):
+        labels, counts = np.unique(multiset, return_counts=True)
+        prob = factorial(h)
+        for label, count in zip(labels, counts):
+            prob *= alpha[label] ** count / factorial(count)
+        winners = labels[counts == counts.max()]
+        if ties == "lowest":
+            law[winners[0]] += prob
+        else:
+            law[winners] += prob / winners.size
+    return law
+
+
+class TestHMajorityLaw:
+    """``hmajority_law`` against the enumeration oracle and sampling."""
+
+    def test_matches_enumeration_with_zero_mass_labels(self):
+        rng = np.random.default_rng(7)
+        for h in range(1, 8):
+            for k in range(1, 9):
+                alpha = rng.dirichlet(np.ones(k), size=2)
+                alpha[:, rng.random(k) < 0.3] = 0.0
+                alpha[:, 0] += 1.0 - alpha.sum(axis=1)
+                law = hmajority_law(alpha, h)
+                for row, expected in zip(law, alpha):
+                    oracle = enumerated_law(expected, h)
+                    assert np.abs(row - oracle).max() <= 1e-13, (h, k)
+
+    def test_small_h_closed_forms(self):
+        alpha = np.random.default_rng(1).dirichlet(np.ones(6), size=5)
+        for h in (1, 2):
+            assert hmajority_law(alpha, h) == pytest.approx(alpha)
+        assert np.abs(
+            hmajority_law(alpha, 3)
+            - np.stack([three_majority_law(row) for row in alpha])
+        ).max() <= 1e-15
+
+    @pytest.mark.parametrize("h", [130, 200])
+    def test_wide_h_rows_are_distributions(self, h):
+        alpha = np.random.default_rng(h).dirichlet(np.ones(8), size=3)
+        alpha[2, :3] = 0.0
+        alpha[2] /= alpha[2].sum()
+        law = hmajority_law(alpha, h)
+        assert np.isfinite(law).all() and (law >= 0).all()
+        assert np.abs(law.sum(axis=1) - 1.0).max() <= 1e-12
+        assert (law[2, :3] == 0).all()
+
+    def test_consensus_is_a_fixed_point(self, rng):
+        consensus = np.eye(5)
+        for h in (3, 4, 7, 20):
+            assert (hmajority_law(consensus, h) == consensus).all()
+        counts = np.asarray([[0, 90, 0], [10, 20, 60]])
+        out = HMajority(5).population_step_batch(counts, rng)
+        assert out[0].tolist() == [0, 90, 0]
+        assert out.sum(axis=1).tolist() == [90, 90]
+
+    def test_uneven_row_masses(self, rng):
+        counts = np.asarray([[30, 30, 40], [10, 20, 30]])
+        out = HMajority(3).population_step_batch(counts, rng)
+        assert out.sum(axis=1).tolist() == [100, 60]
+
+    def test_g_test_against_sampled_winners(self):
+        """Fixed-seed G-test of the law against ``majority_winners``.
+
+        40,000 sampled 4-tuples give the test (level 1e-3, 3 degrees of
+        freedom) power 0.99 against moving 1.4% of mass between the two
+        leading labels.  Breaking ties toward the lower label moves
+        ~11% onto label 0, so the same test must reject that mutant.
+        """
+        alpha = np.asarray([0.4, 0.3, 0.2, 0.1])
+        h, draws = 4, 40_000
+        rng = np.random.default_rng(2024)
+        samples = rng.choice(alpha.size, size=(draws, h), p=alpha)
+        observed = np.bincount(
+            majority_winners(samples, rng), minlength=alpha.size
+        )
+
+        def g_test_pvalue(law):
+            g = 2.0 * np.sum(observed * np.log(observed / (draws * law)))
+            return chi2.sf(g, df=alpha.size - 1)
+
+        assert g_test_pvalue(hmajority_law(alpha, h)) > 1e-3
+        mutant = enumerated_law(alpha, h, ties="lowest")
+        assert g_test_pvalue(mutant) < 1e-3
 
 
 class TestVoter:

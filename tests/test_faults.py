@@ -877,14 +877,15 @@ class TestKernelDegradation:
     ):
         from repro.simulation import Simulation
 
-        # 5-majority takes the sampled HMajority path, whose batch
-        # update dispatches through backend kernels (3-majority is
-        # closed-form and never asks the backend for anything).
+        # 5-majority's async-batch tick reduces each row's sampled
+        # neighbours through majority_winners, which dispatches through
+        # backend kernels (its synchronous step draws from the exact
+        # law and never asks the backend for anything).
         spec = (
             Simulation.of("5-majority")
             .n(32)
             .k(2)
-            .engine("batch")
+            .engine("async-batch")
             .replicas(2)
             .seed(0)
             .max_rounds(4000)
