@@ -26,14 +26,11 @@ import abc
 
 import numpy as np
 
-from repro.core.base import Dynamics
-from repro.seeding import RandomState, as_generator
 from repro.state import validate_counts
 from repro.errors import ConfigurationError, StateError
 
 __all__ = [
     "Adversary",
-    "AdversarialPopulationEngine",
     "apply_corruption",
     "apply_count_delta",
     "enforce_corruption_contract",
@@ -200,56 +197,3 @@ def apply_corruption(
     before = np.asarray(counts)
     corrupted = adversary.corrupt(before.copy(), rng)
     return enforce_corruption_contract(before, corrupted, adversary.budget)
-
-
-class AdversarialPopulationEngine:
-    """Population engine interleaving dynamics rounds with corruptions.
-
-    .. deprecated::
-        Legacy shim.  Adversaries are now first-class in the unified
-        simulation API — prefer
-        ``Simulation.of(dyn).n(n).k(k).adversary("runner-up", F).run()``
-        or ``PopulationEngine(dynamics, counts, seed, adversary=...)``;
-        the batch engine vectorises R adversarial replicas at once.
-
-    Each logical round is: one dynamics round, then one adversary
-    corruption — matching the "corrupt F vertices each round" model.
-    The corruption contract (mass conservation, at most ``F`` moves) is
-    checked every round via :func:`enforce_corruption_contract` so a
-    buggy adversary fails fast, including under ``python -O``.
-    """
-
-    def __init__(
-        self,
-        dynamics: Dynamics,
-        counts: np.ndarray,
-        adversary: Adversary,
-        seed: RandomState = None,
-    ) -> None:
-        self.dynamics = dynamics
-        self.adversary = adversary
-        self.counts = validate_counts(counts).copy()
-        self.num_vertices = int(self.counts.sum())
-        self.num_opinions = int(self.counts.size)
-        self.rng = as_generator(seed)
-        self.round_index = 0
-
-    def step(self) -> np.ndarray:
-        after_dynamics = self.dynamics.population_step(
-            self.counts, self.rng
-        )
-        self.counts = apply_corruption(
-            after_dynamics, self.adversary, self.rng
-        )
-        self.round_index += 1
-        return self.counts
-
-    def is_consensus(self) -> bool:
-        """True when one opinion holds everything *after* corruption."""
-        return bool(self.counts.max() == self.num_vertices)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AdversarialPopulationEngine({self.dynamics.name}, "
-            f"{self.adversary!r}, round={self.round_index})"
-        )

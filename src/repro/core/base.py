@@ -75,8 +75,7 @@ __all__ = [
 #: peak memory at a few times the budget in bytes.  The default of 2**22
 #: elements (~32 MiB at int64) also keeps the per-chunk working set near
 #: cache-resident, so bigger is not faster.  Override per
-#: instance via ``Dynamics.batch_element_budget`` or the batch engine's
-#: ``element_budget`` knob.
+#: instance via ``Dynamics.batch_element_budget``.
 BATCH_ELEMENT_BUDGET = 1 << 22
 
 
@@ -404,8 +403,8 @@ class Dynamics(abc.ABC):
 
     #: Scratch-element budget consulted by batch steps whose intermediates
     #: outgrow ``R * k`` (Median, the agent-level samplers); see
-    #: :data:`BATCH_ELEMENT_BUDGET` and :func:`iter_row_chunks`.  The
-    #: batch engine's ``element_budget`` knob overrides it per instance.
+    #: :data:`BATCH_ELEMENT_BUDGET` and :func:`iter_row_chunks`.  Set it
+    #: on an instance to cap one engine's scratch memory.
     batch_element_budget: int = BATCH_ELEMENT_BUDGET
 
     # ------------------------------------------------------------------

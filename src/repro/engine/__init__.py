@@ -5,16 +5,20 @@
 * :class:`AgentEngine` — per-vertex chain on arbitrary graphs;
 * :class:`AsyncPopulationEngine` — one-vertex-per-tick chain
   ([CMRSS25] model);
-* :class:`AsyncBatchPopulationEngine` — R asynchronous chains advanced
-  tick-by-tick in lockstep as one vectorised ``(R, k)`` count matrix;
 * :class:`BatchPopulationEngine` — R replicas as one vectorised
   ``(R, k)`` count matrix;
 * :class:`BatchAgentEngine` — R replicas of a graph chain as one
   vectorised ``(R, n)`` opinion matrix;
+* :class:`AsyncBatchPopulationEngine` — R asynchronous chains advanced
+  tick-by-tick in lockstep as one vectorised ``(R, k)`` count matrix;
+* :class:`ReplicaLoop` — the base of the three batch engines: start
+  normalisation, frozen rows, per-row stopping steps, the checked
+  adversary call, ``record_hook``, run control and per-replica
+  results; each engine adds only its state matrix and ``step``;
 * :func:`run_until_consensus` / :func:`replicate` — run control;
-* :mod:`repro.engine.registry` — string-keyed engine registry; every
-  engine above registers a spec runner plus capability flags, and the
-  simulation layer and CLI dispatch through it.
+* :mod:`repro.engine.registry` — string-keyed engine registry; each of
+  the six engines above registers a spec runner plus capability flags,
+  and the simulation layer and CLI dispatch through it.
 """
 
 from repro.engine.agent import AgentEngine
@@ -36,6 +40,7 @@ from repro.engine.registry import (
     register_engine,
     unregister_engine,
 )
+from repro.engine.replica_loop import ReplicaLoop
 from repro.engine.runner import RunResult, replicate, run_until_consensus
 from repro.seeding import (
     RandomState,
@@ -69,6 +74,7 @@ __all__ = [
     "Observer",
     "PopulationEngine",
     "RandomState",
+    "ReplicaLoop",
     "RunResult",
     "TrajectoryRecorder",
     "available_engines",

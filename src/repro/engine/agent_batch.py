@@ -16,9 +16,10 @@ speedup).  ``benchmarks/bench_agent_batch.py`` guards the overrides and
 tracks the speedups over sequential agent-level replication.
 
 Cost model: the per-round work is proportional to the number of *active*
-replica rows — rows are frozen the round they stop (consensus under the
-dynamics' own convention, or a caller-supplied per-row ``target`` on the
-count vectors), excluded from sampling, and never change again.  The
+replica rows — the shared :class:`~repro.engine.replica_loop.ReplicaLoop`
+freezes rows the round they stop (consensus under the dynamics' own
+convention, or a caller-supplied per-row ``target`` on the count
+vectors), and frozen rows are never sampled or changed again.  The
 plain consensus path never materialises count vectors: stopping is
 detected on the opinion matrix itself via a cheap column-subsample
 prefilter (a necessary condition for row uniformity) followed by the
@@ -41,25 +42,22 @@ realisation.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Callable
 
 import numpy as np
 
-from repro.adversary.base import (
-    Adversary,
-    apply_count_delta,
-    enforce_corruption_contract_batch,
-)
-from repro.backends import resolve_backend, use_backend
+from repro.adversary.base import Adversary, apply_count_delta
+from repro.backends import use_backend
 from repro.core.base import Dynamics
 from repro.engine.registry import register_engine
-from repro.engine.runner import RunResult
-from repro.errors import (
-    ConfigurationError,
-    ConsensusNotReached,
-    StateError,
+from repro.engine.replica_loop import (
+    RecordHook,
+    ReplicaLoop,
+    replica_rows,
+    run_for_spec,
 )
+from repro.engine.runner import RunResult
+from repro.errors import ConfigurationError, StateError
 from repro.graphs.base import Graph
 from repro.graphs.complete import CompleteGraph
 from repro.seeding import RandomState, as_generator
@@ -90,7 +88,7 @@ def _label_dtype(num_opinions: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-class BatchAgentEngine:
+class BatchAgentEngine(ReplicaLoop):
     """Advance R replicas of a graph chain as one opinion matrix.
 
     Parameters
@@ -99,7 +97,8 @@ class BatchAgentEngine:
         Any :class:`~repro.core.base.Dynamics`.  3-Majority, 2-Choices
         and Voter step fully vectorised via ``agent_step_batch``;
         dynamics without an override fall back to a per-row loop
-        (correct, no speedup).
+        (correct, no speedup).  Its ``batch_element_budget`` caps the
+        scratch memory of chunked batch steps.
     graph:
         Shared substrate; ``graph.num_vertices`` must match the opinion
         row length.
@@ -128,11 +127,6 @@ class BatchAgentEngine:
         (the population-level contract shared with
         :class:`~repro.engine.batch.BatchPopulationEngine`); objects
         exposing ``batch(rows)`` are evaluated in one vectorised call.
-    element_budget:
-        Optional override of the dynamics' ``batch_element_budget``
-        (the scratch ceiling that chunks replica rows inside
-        ``agent_step_batch``); applied to an engine-local copy of the
-        dynamics, like the population batch engine's knob.
     backend:
         Optional compute backend pinned for this engine's steps (name,
         instance, or ``None``/``"auto"`` to inherit the ambient backend
@@ -165,59 +159,24 @@ class BatchAgentEngine:
         seed: RandomState = None,
         adversary: Adversary | None = None,
         target: Callable[[np.ndarray], bool] | None = None,
-        element_budget: int | None = None,
         backend: str | None = None,
-        record_hook: Callable[[int, np.ndarray, np.ndarray], None]
-        | None = None,
+        record_hook: RecordHook | None = None,
     ) -> None:
-        self.backend = (
-            None if backend in (None, "auto") else resolve_backend(backend)
+        super().__init__(
+            dynamics, seed, adversary, target, backend, record_hook
         )
-        self.record_hook = record_hook
-        if element_budget is not None:
-            if element_budget < 1:
-                raise ConfigurationError(
-                    "element_budget must be positive, got "
-                    f"{element_budget}"
-                )
-            dynamics = copy.copy(dynamics)
-            dynamics.batch_element_budget = int(element_budget)
-        self.dynamics = dynamics
         self.graph = graph
-        self.adversary = adversary
-        self.target = target
-        arr = np.asarray(opinions)
-        if arr.ndim == 1:
-            if num_replicas is None:
-                raise ConfigurationError(
-                    "num_replicas is required when opinions is a single "
-                    "1-D configuration"
-                )
-            if num_replicas < 1:
-                raise ConfigurationError(
-                    f"num_replicas must be at least 1, got {num_replicas}"
-                )
-            base = validate_agents(arr, k=num_opinions)
-            matrix = np.tile(base, (int(num_replicas), 1))
-        elif arr.ndim == 2:
-            if num_replicas is not None and num_replicas != arr.shape[0]:
-                raise ConfigurationError(
-                    f"opinions has {arr.shape[0]} rows but num_replicas="
-                    f"{num_replicas}"
-                )
-            matrix = np.stack(
-                [validate_agents(row, k=num_opinions) for row in arr]
-            )
-        else:
-            raise ConfigurationError(
-                f"opinions must be 1-D or (R, n), got shape {arr.shape}"
-            )
+        matrix = replica_rows(
+            opinions,
+            num_replicas,
+            lambda row: validate_agents(row, k=num_opinions),
+            "opinions",
+        )
         if matrix.shape[1] != graph.num_vertices:
             raise ConfigurationError(
                 f"got {matrix.shape[1]} opinions per replica for a graph "
                 f"with {graph.num_vertices} vertices"
             )
-        self.num_replicas = int(matrix.shape[0])
         self.num_vertices = int(matrix.shape[1])
         self.num_opinions = (
             int(num_opinions)
@@ -232,12 +191,7 @@ class BatchAgentEngine:
         self.opinions = np.ascontiguousarray(
             matrix, dtype=_label_dtype(self.num_opinions)
         )
-        self.rng = as_generator(seed)
-        self.round_index = 0
-        self.frozen = self._stopped(self.opinions)
-        self.consensus_rounds = np.where(self.frozen, 0, -1).astype(
-            np.int64
-        )
+        self._start(self.opinions)
 
     # ------------------------------------------------------------------
     # Count-vector views (built on demand; never in the plain hot loop)
@@ -281,18 +235,9 @@ class BatchAgentEngine:
         ``target``: the predicate is evaluated on the rows' count
         vectors (vectorised when it exposes ``batch``).
         """
-        rows = opinions.shape[0]
         if self.target is not None:
-            counts = self._counts_of(opinions)
-            batch_predicate = getattr(self.target, "batch", None)
-            if batch_predicate is not None:
-                return np.asarray(batch_predicate(counts), dtype=bool)
-            return np.fromiter(
-                (bool(self.target(row)) for row in counts),
-                dtype=bool,
-                count=rows,
-            )
-        mask = np.zeros(rows, dtype=bool)
+            return super()._stopped(self._counts_of(opinions))
+        mask = np.zeros(opinions.shape[0], dtype=bool)
         probe = opinions[:, ::_PREFILTER_STRIDE] == opinions[:, :1]
         candidates = np.flatnonzero(probe.all(axis=1))
         if candidates.size:
@@ -314,127 +259,39 @@ class BatchAgentEngine:
         sequential adversarial chain — record it and freeze.
         """
         active = np.flatnonzero(~self.frozen)
-        self.round_index += 1
-        if active.size == 0:
-            if self.record_hook is not None:
-                self.record_hook(
-                    self.round_index, self.counts, self.frozen
+        self._steps += 1
+        if active.size:
+            all_active = active.size == self.num_replicas
+            view = self.opinions if all_active else self.opinions[active]
+            with use_backend(self.backend):
+                new_rows = self.dynamics.agent_step_batch(
+                    view, self.graph, self.rng
                 )
-            return self.opinions
-        all_active = active.size == self.num_replicas
-        view = self.opinions if all_active else self.opinions[active]
-        with use_backend(self.backend):
-            new_rows = self.dynamics.agent_step_batch(
-                view, self.graph, self.rng
-            )
-        if self.adversary is not None:
-            self._apply_corruption(new_rows)
-        if all_active:
-            # Keep the engine's narrow label dtype even when a row-loop
-            # fallback dynamics returns widened rows.
-            self.opinions = np.ascontiguousarray(
-                new_rows, dtype=self.opinions.dtype
-            )
-        else:
-            self.opinions[active] = new_rows
-        done = active[self._stopped(new_rows)]
-        self.consensus_rounds[done] = self.round_index
-        self.frozen[done] = True
-        if self.record_hook is not None:
-            self.record_hook(self.round_index, self.counts, self.frozen)
+            if self.adversary is not None:
+                self._lift_corruption(new_rows)
+            if all_active:
+                # Keep the engine's narrow label dtype even when a
+                # row-loop fallback dynamics returns widened rows.
+                self.opinions = np.ascontiguousarray(
+                    new_rows, dtype=self.opinions.dtype
+                )
+            else:
+                self.opinions[active] = new_rows
+            self._freeze(active[self._stopped(new_rows)])
+        self._record()
         return self.opinions
 
-    def _apply_corruption(self, new_rows: np.ndarray) -> None:
+    def _lift_corruption(self, new_rows: np.ndarray) -> None:
         """Corrupt all active rows on the count level, lift onto vertices.
 
-        The corruption itself is one vectorised ``corrupt_batch`` call
-        (contract-checked row-wise); the lift loops only over rows the
-        adversary actually touched, moving at most F vertices each.
+        The corruption itself is one checked ``corrupt_batch`` call;
+        the lift loops only over rows the adversary actually touched,
+        moving at most F vertices each.
         """
         counts = self._counts_of(new_rows)
-        corrupted = self.adversary.corrupt_batch(counts.copy(), self.rng)
-        corrupted = enforce_corruption_contract_batch(
-            counts, corrupted, self.adversary.budget
-        )
-        delta = corrupted - counts
+        delta = self._corrupt(counts) - counts
         for row in np.flatnonzero(delta.any(axis=1)):
             apply_count_delta(new_rows[row], delta[row], self.rng)
-
-    def all_consensus(self) -> bool:
-        """True once every replica has stopped."""
-        return bool(self.frozen.all())
-
-    def run_until_consensus(self, max_rounds: int) -> list[RunResult]:
-        """Run until every replica froze or ``max_rounds`` rounds passed."""
-        if max_rounds < 0:
-            raise ConfigurationError(
-                f"max_rounds must be non-negative, got {max_rounds}"
-            )
-        while not self.frozen.all() and self.round_index < max_rounds:
-            self.step()
-        return self.results()
-
-    def results(self) -> list[RunResult]:
-        """Per-replica results for the rounds executed so far.
-
-        Winner reporting follows the dynamics' count-level consensus
-        convention (``consensus_mask_batch``), exactly like the
-        population batch engine — an Undecided-State row only reports a
-        winner when a decided opinion holds everything.
-        """
-        counts = self.counts
-        winners = counts.argmax(axis=1)
-        at_consensus = np.asarray(
-            self.dynamics.consensus_mask_batch(counts), dtype=bool
-        )
-        out: list[RunResult] = []
-        for r in range(self.num_replicas):
-            converged = bool(self.frozen[r])
-            out.append(
-                RunResult(
-                    converged=converged,
-                    rounds=int(self.consensus_rounds[r])
-                    if converged
-                    else self.round_index,
-                    winner=int(winners[r])
-                    if converged and at_consensus[r]
-                    else None,
-                    final_counts=counts[r].copy(),
-                )
-            )
-        return out
-
-    # ------------------------------------------------------------------
-    # Inspection helpers (matrix-level views)
-    # ------------------------------------------------------------------
-    @property
-    def alpha(self) -> np.ndarray:
-        """Fractional populations, shape ``(R, k)``."""
-        return self.counts / self.num_vertices
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Per-replica ``gamma_t``, shape ``(R,)``."""
-        a = self.alpha
-        return np.einsum("rk,rk->r", a, a)
-
-    @property
-    def alive(self) -> np.ndarray:
-        """Per-replica surviving-opinion counts, shape ``(R,)``."""
-        return np.count_nonzero(self.counts, axis=1)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        adv = (
-            f", adversary={self.adversary!r}"
-            if self.adversary is not None
-            else ""
-        )
-        return (
-            f"BatchAgentEngine({self.dynamics.name}, "
-            f"graph={self.graph!r}, R={self.num_replicas}, "
-            f"round={self.round_index}, "
-            f"frozen={int(self.frozen.sum())}{adv})"
-        )
 
 
 def _run_spec(spec) -> list[RunResult]:
@@ -443,7 +300,6 @@ def _run_spec(spec) -> list[RunResult]:
     Vertex identities are shuffled independently per replica row
     (``rng.permuted``), mirroring the sequential agent adapter — on
     non-complete graphs *which* vertices hold which opinion matters.
-    Honors ``spec.on_budget`` like every other engine adapter.
     """
     dynamics = spec.resolved_dynamics()
     counts = spec.initial_counts()
@@ -463,17 +319,7 @@ def _run_spec(spec) -> list[RunResult]:
         target=spec.target,
         backend=getattr(spec, "backend", None),
     )
-    budget = spec.round_budget()
-    results = engine.run_until_consensus(budget)
-    if spec.on_budget == "raise":
-        censored = sum(1 for result in results if not result.converged)
-        if censored:
-            raise ConsensusNotReached(
-                budget,
-                f"{censored} of {spec.replicas} replicas did not reach "
-                f"consensus within {budget} rounds",
-            )
-    return results
+    return run_for_spec(engine, spec, spec.round_budget())
 
 
 register_engine(

@@ -19,39 +19,42 @@ tests check distributional agreement via KS tests), but all rows share
 one generator, so a batch run is equal to R seeded sequential runs in
 distribution, not in realisation.
 
-Rows are frozen the tick they reach the dynamics' consensus (gated by
-the cheap one-opinion-holds-all filter, so the per-tick cost of the
-check is one row-wise max): they are excluded from subsequent sampling
-and their stopping tick is recorded.  An optional F-bounded adversary
-corrupts every active row once per synchronous-equivalent round (after
-every ``n`` ticks — the same [GL18] budget translation as the
-sequential asynchronous engine) through the vectorised
+Rows are frozen the tick they reach the dynamics' consensus, with the
+stopping tick kept by the shared
+:class:`~repro.engine.replica_loop.ReplicaLoop`; the check is gated by
+the cheap one-opinion-holds-all filter, so its per-tick cost is one
+row-wise max.  An optional F-bounded
+adversary corrupts every active row once per synchronous-equivalent
+round (after every ``n`` ticks — the same [GL18] budget translation as
+the sequential asynchronous engine) through the vectorised
 ``corrupt_batch`` contract path.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 import numpy as np
 
-from repro.adversary.base import (
-    Adversary,
-    enforce_corruption_contract_batch,
-)
-from repro.backends import resolve_backend, use_backend
+from repro.adversary.base import Adversary
+from repro.backends import use_backend
 from repro.core.base import Dynamics
-from repro.engine.batch import build_replica_matrix
 from repro.engine.registry import register_engine
+from repro.engine.replica_loop import (
+    RecordHook,
+    ReplicaLoop,
+    counter_alias,
+    replica_counts,
+    run_for_spec,
+)
 from repro.engine.runner import RunResult
-from repro.errors import ConfigurationError, ConsensusNotReached
-from repro.seeding import RandomState, as_generator
+from repro.errors import ConfigurationError
+from repro.seeding import RandomState
 
 __all__ = ["AsyncBatchPopulationEngine"]
 
 
-class AsyncBatchPopulationEngine:
+class AsyncBatchPopulationEngine(ReplicaLoop):
     """Advance R asynchronous chains tick-by-tick as one count matrix.
 
     Parameters
@@ -100,6 +103,8 @@ class AsyncBatchPopulationEngine:
         unfinished).
     """
 
+    step_unit = "tick"
+
     def __init__(
         self,
         dynamics: Dynamics,
@@ -108,27 +113,20 @@ class AsyncBatchPopulationEngine:
         seed: RandomState = None,
         adversary: Adversary | None = None,
         backend: str | None = None,
-        record_hook: Callable[[int, np.ndarray, np.ndarray], None]
-        | None = None,
+        record_hook: RecordHook | None = None,
     ) -> None:
-        self.backend = (
-            None if backend in (None, "auto") else resolve_backend(backend)
-        )
-        self.record_hook = record_hook
-        self.dynamics = dynamics
-        self.adversary = adversary
-        self.counts = build_replica_matrix(counts, num_replicas)
-        self.num_replicas = int(self.counts.shape[0])
+        super().__init__(dynamics, seed, adversary, None, backend, record_hook)
+        self.counts = replica_counts(counts, num_replicas)
         self.num_opinions = int(self.counts.shape[1])
         self.num_vertices = int(self.counts[0].sum())
-        self.rng = as_generator(seed)
-        self.tick_index = 0
-        self.frozen = np.asarray(
-            self.dynamics.consensus_mask_batch(self.counts), dtype=bool
-        )
-        self.consensus_ticks = np.where(self.frozen, 0, -1).astype(
-            np.int64
-        )
+        self._start(self.counts)
+
+    tick_index = counter_alias(
+        "_steps", "Asynchronous ticks executed so far (all replicas)."
+    )
+    consensus_ticks = counter_alias(
+        "_stop_step", "Per-replica stopping ticks (-1 while unfinished)."
+    )
 
     def step(self) -> np.ndarray:
         """Execute one asynchronous tick on every unfinished replica.
@@ -142,7 +140,7 @@ class AsyncBatchPopulationEngine:
         freeze.
         """
         active = ~self.frozen
-        self.tick_index += 1
+        self._steps += 1
         if active.any():
             with use_backend(self.backend):
                 new_rows = self.dynamics.async_population_step_batch(
@@ -150,17 +148,9 @@ class AsyncBatchPopulationEngine:
                 )
             if (
                 self.adversary is not None
-                and self.tick_index % self.num_vertices == 0
+                and self._steps % self.num_vertices == 0
             ):
-                # The adversary gets its own copy so an in-place-
-                # mutating corrupt_batch cannot defeat the contract
-                # check by changing the "before" matrix too.
-                corrupted = self.adversary.corrupt_batch(
-                    new_rows.copy(), self.rng
-                )
-                new_rows = enforce_corruption_contract_batch(
-                    new_rows, corrupted, self.adversary.budget
-                )
+                new_rows = self._corrupt(new_rows)
             self.counts[active] = new_rows
             # Cheap hot-path filter first (one row-wise max); only rows
             # where a single label holds everything pay the dynamics'
@@ -174,11 +164,8 @@ class AsyncBatchPopulationEngine:
                     self.dynamics.consensus_mask_batch(new_rows[hit]),
                     dtype=bool,
                 )
-                done = np.flatnonzero(active)[confirmed]
-                self.consensus_ticks[done] = self.tick_index
-                self.frozen[done] = True
-        if self.record_hook is not None:
-            self.record_hook(self.tick_index, self.counts, self.frozen)
+                self._freeze(np.flatnonzero(active)[confirmed])
+        self._record()
         return self.counts
 
     def run_ticks(self, ticks: int) -> np.ndarray:
@@ -191,63 +178,20 @@ class AsyncBatchPopulationEngine:
             self.step()
         return self.counts
 
-    def run_until_consensus(self, max_ticks: int) -> list[RunResult]:
-        """Run until every replica froze or ``max_ticks`` ticks passed.
+    def _units(self, ticks: int) -> dict:
+        """``rounds`` is the synchronous-equivalent ``ceil(ticks / n)``
+        (the convention of the sequential ``async`` registry adapter, so
+        batched and sequential measurements aggregate in the same
+        units), with the raw tick count in ``metrics["ticks"]``."""
+        return {
+            "rounds": int(math.ceil(ticks / self.num_vertices)),
+            "metrics": {"ticks": ticks},
+        }
 
-        Returns one :class:`~repro.engine.runner.RunResult` per
-        replica, in row order (see :meth:`results`).
-        """
-        if max_ticks < 0:
-            raise ConfigurationError(
-                f"max_ticks must be non-negative, got {max_ticks}"
-            )
-        while not self.frozen.all() and self.tick_index < max_ticks:
-            self.step()
-        return self.results()
-
-    def all_consensus(self) -> bool:
-        """True once every replica has stopped."""
-        return bool(self.frozen.all())
-
-    def results(self) -> list[RunResult]:
-        """Per-replica results for the ticks executed so far.
-
-        ``rounds`` is the synchronous-equivalent ``ceil(ticks / n)``
-        (the convention of the sequential ``async`` registry adapter,
-        so batched and sequential measurements aggregate in the same
-        units) with the raw tick count in ``metrics["ticks"]``;
-        ``winner`` follows the dynamics' consensus convention.
-        """
-        winners = self.counts.argmax(axis=1)
-        at_consensus = np.asarray(
-            self.dynamics.consensus_mask_batch(self.counts), dtype=bool
-        )
-        out: list[RunResult] = []
-        for r in range(self.num_replicas):
-            converged = bool(self.frozen[r])
-            ticks = int(
-                self.consensus_ticks[r] if converged else self.tick_index
-            )
-            out.append(
-                RunResult(
-                    converged=converged,
-                    rounds=int(math.ceil(ticks / self.num_vertices)),
-                    winner=int(winners[r])
-                    if converged and at_consensus[r]
-                    else None,
-                    final_counts=self.counts[r].copy(),
-                    metrics={"ticks": ticks},
-                )
-            )
-        return out
-
-    # ------------------------------------------------------------------
-    # Inspection helpers (matrix-level views)
-    # ------------------------------------------------------------------
     @property
     def round_index(self) -> float:
         """Synchronous-equivalent rounds elapsed (= ticks / n)."""
-        return self.tick_index / self.num_vertices
+        return self._steps / self.num_vertices
 
     @property
     def consensus_rounds(self) -> np.ndarray:
@@ -255,48 +199,16 @@ class AsyncBatchPopulationEngine:
         rounds (``consensus_ticks // n``; -1 while unfinished)."""
         return np.where(
             self.frozen,
-            self.consensus_ticks // self.num_vertices,
+            self._stop_step // self.num_vertices,
             -1,
         ).astype(np.int64)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """Fractional populations, shape ``(R, k)``."""
-        return self.counts / self.num_vertices
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Per-replica ``gamma_t``, shape ``(R,)``."""
-        a = self.alpha
-        return np.einsum("rk,rk->r", a, a)
-
-    @property
-    def alive(self) -> np.ndarray:
-        """Per-replica surviving-opinion counts, shape ``(R,)``."""
-        return np.count_nonzero(self.counts, axis=1)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        adv = (
-            f", adversary={self.adversary!r}"
-            if self.adversary is not None
-            else ""
-        )
-        return (
-            f"AsyncBatchPopulationEngine({self.dynamics.name}, "
-            f"R={self.num_replicas}, n={self.num_vertices}, "
-            f"k={self.num_opinions}, tick={self.tick_index}, "
-            f"frozen={int(self.frozen.sum())}{adv})"
-        )
 
 
 def _run_spec(spec) -> list[RunResult]:
     """Registry adapter: all R asynchronous replicas in one engine.
 
-    The spec's round budget is interpreted as ``max_rounds * n`` ticks
-    (like the sequential ``async`` adapter); ``on_budget="raise"``
-    raises on any censored replica here, so direct
-    ``get_engine("async-batch").run(spec)`` callers see the same
-    contract as every other engine.
+    The spec's round budget is interpreted as ``max_rounds * n`` ticks,
+    like the sequential ``async`` adapter.
     """
     engine = AsyncBatchPopulationEngine(
         spec.resolved_dynamics(),
@@ -306,18 +218,7 @@ def _run_spec(spec) -> list[RunResult]:
         adversary=spec.resolved_adversary(),
         backend=getattr(spec, "backend", None),
     )
-    budget = spec.round_budget()
-    results = engine.run_until_consensus(budget * spec.n)
-    if spec.on_budget == "raise":
-        censored = sum(1 for result in results if not result.converged)
-        if censored:
-            raise ConsensusNotReached(
-                budget,
-                f"{censored} of {spec.replicas} replicas did not reach "
-                f"consensus within {budget * spec.n} ticks "
-                f"({budget} synchronous-equivalent rounds)",
-            )
-    return results
+    return run_for_spec(engine, spec, spec.round_budget() * spec.n)
 
 
 register_engine(

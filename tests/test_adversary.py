@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.adversary import (
-    AdversarialPopulationEngine,
     RandomCorruption,
     ReviveWeakest,
     SupportRunnerUp,
@@ -222,23 +221,6 @@ class TestUnifiedEngineAdversaries:
         with pytest.raises(ConfigurationError, match="exceeding"):
             engine.step()
 
-    def test_population_matches_legacy_adversarial_engine_bitwise(self):
-        """The legacy engine is now a shim over the same chain."""
-        counts = balanced(600, 4)
-        unified = PopulationEngine(
-            ThreeMajority(),
-            counts,
-            seed=11,
-            adversary=SupportRunnerUp(3),
-        )
-        legacy = AdversarialPopulationEngine(
-            ThreeMajority(), counts, SupportRunnerUp(3), seed=11
-        )
-        for _ in range(30):
-            unified.step()
-            legacy.step()
-            assert (unified.counts == legacy.counts).all()
-
     def test_async_engine_corrupts_once_per_round(self):
         n = 120
         engine = AsyncPopulationEngine(
@@ -328,12 +310,14 @@ class TestUnifiedEngineAdversaries:
 
 
 class TestAdversarialEngine:
+    """The [GL18] round: one dynamics round, then one corruption."""
+
     def test_step_applies_both_phases(self):
-        engine = AdversarialPopulationEngine(
+        engine = PopulationEngine(
             ThreeMajority(),
             two_block(1000, 4, 0.6),
-            ReviveWeakest(3),
             seed=0,
+            adversary=ReviveWeakest(3),
         )
         engine.step()
         assert engine.round_index == 1
@@ -348,8 +332,8 @@ class TestAdversarialEngine:
                 new[1] += move
                 return new
 
-        engine = AdversarialPopulationEngine(
-            ThreeMajority(), [500, 500], Cheater(2), seed=0
+        engine = PopulationEngine(
+            ThreeMajority(), [500, 500], seed=0, adversary=Cheater(2)
         )
         with pytest.raises(ConfigurationError, match="exceeding"):
             engine.step()
@@ -361,18 +345,18 @@ class TestAdversarialEngine:
                 new[0] = max(new[0] - 1, 0)
                 return new
 
-        engine = AdversarialPopulationEngine(
-            ThreeMajority(), [500, 500], Leaker(5), seed=0
+        engine = PopulationEngine(
+            ThreeMajority(), [500, 500], seed=0, adversary=Leaker(5)
         )
         with pytest.raises(Exception, match="sums|expected"):
             engine.step()
 
     def test_zero_budget_reaches_consensus(self):
-        engine = AdversarialPopulationEngine(
+        engine = PopulationEngine(
             ThreeMajority(),
             balanced(1000, 4),
-            SupportRunnerUp(0),
             seed=1,
+            adversary=SupportRunnerUp(0),
         )
         for _ in range(5000):
             engine.step()
@@ -382,11 +366,11 @@ class TestAdversarialEngine:
 
     def test_large_budget_stalls(self):
         """A budget ~n/8 per round pins the top two together."""
-        engine = AdversarialPopulationEngine(
+        engine = PopulationEngine(
             ThreeMajority(),
             balanced(800, 2),
-            SupportRunnerUp(100),
             seed=2,
+            adversary=SupportRunnerUp(100),
         )
         for _ in range(2000):
             engine.step()
@@ -394,11 +378,11 @@ class TestAdversarialEngine:
 
     def test_small_budget_still_converges_nearly(self):
         """F = 1 cannot stop the leader from taking all but O(1)."""
-        engine = AdversarialPopulationEngine(
+        engine = PopulationEngine(
             ThreeMajority(),
             two_block(2000, 4, 0.5),
-            SupportRunnerUp(1),
             seed=3,
+            adversary=SupportRunnerUp(1),
         )
         for _ in range(4000):
             engine.step()

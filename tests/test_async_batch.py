@@ -9,8 +9,9 @@ Mirrors the guarantees of the synchronous batch-engine suite:
   base-class row-loop fallback path);
 * **ledger integrity** — per-row mass conservation every tick, frozen
   rows never change, recorded consensus ticks are final, and the
-  active-row masking edge cases (R = 1, all-frozen-at-start, budget
-  exhaustion under ``on_budget="raise"``) behave;
+  active-row masking edge cases (R = 1, all-frozen-at-start) behave
+  (the budget contracts shared with the other batch engines live in
+  ``test_replica_loop.py``);
 * **helper contracts** — the integer-exact holder sampler and the
   batched categorical draw.
 """
@@ -213,24 +214,10 @@ class TestLedger:
             assert r.rounds == math.ceil(ticks / 50)
             assert whole == ticks // 50
 
-    def test_budget_censoring(self):
-        engine = AsyncBatchPopulationEngine(
-            ThreeMajority(), balanced(512, 16), num_replicas=3, seed=0
-        )
-        results = engine.run_until_consensus(10)
-        assert engine.tick_index == 10
-        for r in results:
-            assert not r.converged
-            assert r.metrics["ticks"] == 10
-            assert r.rounds == 1  # ceil(10 / 512)
-            assert r.winner is None
-
     def test_negative_budget_rejected(self):
         engine = AsyncBatchPopulationEngine(
             ThreeMajority(), balanced(50, 2), num_replicas=2, seed=0
         )
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            engine.run_until_consensus(-1)
         with pytest.raises(ConfigurationError, match="non-negative"):
             engine.run_ticks(-1)
 

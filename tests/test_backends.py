@@ -638,7 +638,7 @@ class TestNumbaEquivalence:
             seed=4,
             backend="numba",
         )
-        engine.run_until_consensus(max_ticks=200_000)
+        engine.run_until_consensus(200_000)
         assert engine.frozen.all()
 
     def test_agent_engine_under_numba_preserves_mass(self):

@@ -283,29 +283,6 @@ class TestMedianChunking:
         statistic, p_value = ks_2samp(plain, chunked)
         assert p_value > 1e-3, (statistic, p_value)
 
-    def test_engine_element_budget_knob(self):
-        dynamics = self._median(9999)
-        engine = BatchPopulationEngine(
-            dynamics,
-            balanced(64, 4),
-            num_replicas=2,
-            seed=0,
-            element_budget=1234,
-        )
-        assert engine.dynamics.batch_element_budget == 1234
-        # The caller's instance keeps its own budget (no shared-state
-        # mutation across engines).
-        assert dynamics.batch_element_budget == 9999
-
-    def test_engine_rejects_bad_element_budget(self):
-        with pytest.raises(ConfigurationError, match="element_budget"):
-            BatchPopulationEngine(
-                MedianRule(),
-                balanced(64, 4),
-                num_replicas=2,
-                element_budget=0,
-            )
-
 
 class TestBatchedSamplingHelpers:
     def test_iter_row_chunks_covers_all_rows(self):

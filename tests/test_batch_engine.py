@@ -158,22 +158,6 @@ class TestConservationLedger:
             assert r.winner is not None
             assert r.final_counts[r.winner] == 400
 
-    def test_budget_censoring(self):
-        engine = BatchPopulationEngine(
-            TwoChoices(), balanced(4096, 512), num_replicas=4, seed=0
-        )
-        results = engine.run_until_consensus(2)
-        assert engine.round_index == 2
-        assert all(not r.converged for r in results)
-        assert all(r.rounds == 2 and r.winner is None for r in results)
-
-    def test_negative_budget_rejected(self):
-        engine = BatchPopulationEngine(
-            ThreeMajority(), balanced(100, 2), num_replicas=2, seed=0
-        )
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            engine.run_until_consensus(-1)
-
 
 class TestDistributionalEquivalence:
     """Batch R replicas ~ R independent sequential runs (KS tests).

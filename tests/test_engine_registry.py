@@ -173,7 +173,9 @@ class TestPluggableEngine:
             unregister_engine("stuck")
 
     @pytest.mark.parametrize(
-        "engine", ["population", "agent", "async", "batch"]
+        "engine",
+        ["population", "agent", "async", "batch", "agent-batch",
+         "async-batch"],
     )
     def test_on_budget_raise_contract_at_adapter_level(self, engine):
         """Every built-in adapter honours on_budget='raise' itself.
