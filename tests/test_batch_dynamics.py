@@ -41,7 +41,7 @@ from repro.engine import (
     replicate,
     run_until_consensus,
 )
-from repro.errors import ConfigurationError, StateError
+from repro.errors import StateError
 
 
 def _sequential_times(dynamics, counts, runs, seed, max_rounds=100_000):
