@@ -49,7 +49,7 @@ from repro.engine import (
 )
 from repro.engine.agent_batch import apply_count_delta
 from repro.engine.registry import get_engine
-from repro.errors import ConfigurationError, GraphError
+from repro.errors import ConfigurationError, ConsensusNotReached, GraphError
 from repro.graphs import (
     AdjacencyGraph,
     CompleteGraph,
@@ -554,6 +554,22 @@ class TestSpecAndBuilderWiring:
         a, b = run(), run()
         assert [r.rounds for r in a] == [r.rounds for r in b]
         assert [r.winner for r in a] == [r.winner for r in b]
+
+    def test_on_budget_raise_contract(self):
+        # Voter on a big cycle cannot reach consensus in 3 rounds.
+        spec = SimulationSpec(
+            dynamics="voter",
+            n=64,
+            k=2,
+            engine="agent-batch",
+            graph=cycle_graph(64),
+            replicas=4,
+            max_rounds=3,
+            seed=0,
+            on_budget="raise",
+        )
+        with pytest.raises(ConsensusNotReached):
+            get_engine("agent-batch").run(spec)
 
     def test_registry_capabilities(self):
         info = get_engine("agent-batch")
