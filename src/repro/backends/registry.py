@@ -1,9 +1,9 @@
 """String-keyed registry of compute backends.
 
-Mirrors the engine registry (:mod:`repro.engine.registry`): backends are
-registered under a short name with a zero-argument factory, looked up by
-name, and enumerated for the CLI.  On top of that, this module owns the
-three pieces of state the engine registry does not need:
+Backends are registered under a short name with a zero-argument
+factory and a detection priority in a :class:`repro.registry.Registry`,
+looked up by name, and enumerated for the CLI.  On top of that table,
+this module owns the instance cache, the reserved name ``"auto"``, and:
 
 ``default_backend()``
     The process-wide default, resolved once and cached: the
@@ -57,10 +57,11 @@ import warnings
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 from repro.errors import BackendUnavailableError, ConfigurationError
 from repro.faults import fault_point, faults_armed
+from repro.registry import Registry
 
 __all__ = [
     "AUTO_BACKEND",
@@ -103,8 +104,12 @@ class ComputeBackend(Protocol):
         ...
 
 
-_FACTORIES: dict[str, Callable[[], ComputeBackend]] = {}
-_PRIORITIES: dict[str, int] = {}
+class _Entry(NamedTuple):
+    factory: Callable[[], ComputeBackend]
+    priority: int
+
+
+_BACKENDS: Registry[_Entry] = Registry("backend")
 _INSTANCES: dict[str, ComputeBackend] = {}
 
 # Cache of resolved defaults keyed by the REPRO_BACKEND value in effect
@@ -128,52 +133,30 @@ def register_backend(
 
     ``priority`` orders auto-detection (higher is preferred; the
     ``numpy`` reference backend registers at the lowest priority so any
-    working accelerated backend wins).  Duplicate names raise
-    :class:`ConfigurationError` unless ``replace=True``, matching
-    :func:`repro.engine.registry.register_engine`.
+    working accelerated backend wins).  The name ``"auto"`` is reserved.
     """
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            f"backend name must be a non-empty string, got {name!r}"
-        )
     if name == AUTO_BACKEND:
         raise ConfigurationError(
             f"backend name {AUTO_BACKEND!r} is reserved for auto-detection"
         )
-    if name in _FACTORIES and not replace:
-        raise ConfigurationError(
-            f"backend {name!r} is already registered; pass replace=True "
-            "to overwrite it"
-        )
-    _FACTORIES[name] = factory
-    _PRIORITIES[name] = int(priority)
+    _BACKENDS.register(name, _Entry(factory, int(priority)), replace=replace)
     _INSTANCES.pop(name, None)
     _DEFAULT_CACHE.clear()
 
 
 def unregister_backend(name: str) -> None:
     """Remove ``name`` from the registry (primarily for tests)."""
-    if name not in _FACTORIES:
-        raise ConfigurationError(f"unknown backend {name!r}")
-    del _FACTORIES[name]
-    _PRIORITIES.pop(name, None)
+    _BACKENDS.unregister(name)
     _INSTANCES.pop(name, None)
     _DEFAULT_CACHE.clear()
 
 
-def available_backends() -> list[str]:
-    """Sorted names of every registered backend (available or not)."""
-    return sorted(_FACTORIES)
+available_backends = _BACKENDS.names
 
 
 def _instantiate(name: str) -> ComputeBackend:
-    if name not in _FACTORIES:
-        known = ", ".join(available_backends()) or "none registered"
-        raise ConfigurationError(
-            f"unknown backend {name!r}; known backends: {known}"
-        )
     if name not in _INSTANCES:
-        _INSTANCES[name] = _FACTORIES[name]()
+        _INSTANCES[name] = _BACKENDS.get(name).factory()
     return _INSTANCES[name]
 
 
@@ -195,11 +178,9 @@ def get_backend(name: str, *, require_available: bool = True) -> ComputeBackend:
 
 def backend_available(name: str) -> bool:
     """``True`` iff ``name`` is registered and its probe succeeds."""
-    if name not in _FACTORIES:
-        return False
     try:
         return _instantiate(name).is_available()
-    except Exception:  # fail closed: a broken factory is "unavailable"
+    except Exception:  # fail closed: unknown or broken is "unavailable"
         return False
 
 
@@ -213,7 +194,9 @@ def detect_backend() -> ComputeBackend:
     disqualifies it.  The ``numpy`` backend is always available, so
     detection always succeeds.
     """
-    order = sorted(_FACTORIES, key=lambda n: (-_PRIORITIES.get(n, 0), n))
+    order = sorted(
+        available_backends(), key=lambda n: (-_BACKENDS.get(n).priority, n)
+    )
     fallback: ComputeBackend | None = None
     for name in order:
         try:
@@ -225,7 +208,7 @@ def detect_backend() -> ComputeBackend:
                 check()
         except Exception:
             continue
-        if _PRIORITIES.get(name, 0) <= 0:
+        if _BACKENDS.get(name).priority <= 0:
             # Reference-tier backend: remember it, but keep scanning in
             # case a lower-priority-but-still-positive entry exists.
             if fallback is None:

@@ -18,6 +18,10 @@ capabilities, :func:`~repro.simulation.run.execute` dispatches through
 it, and the CLI's ``--engine`` choices are built from
 :func:`available_engines`.
 
+The table itself is a :class:`repro.registry.Registry`, which owns the
+name, duplicate, unknown-name and unregister policy shared by every
+registry in the package.
+
 The runner callables receive the spec duck-typed (this module must not
 import :mod:`repro.simulation`, which sits above the engine layer), so
 engine modules depend only on the engine/core/adversary layers.
@@ -29,7 +33,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 __all__ = [
     "Engine",
@@ -43,13 +47,15 @@ __all__ = [
 
 @runtime_checkable
 class Engine(Protocol):
-    """Structural protocol shared by the step-based engines.
+    """Structural protocol of the sequential step-based engines.
 
     Anything exposing ``step()``, ``counts`` and ``round_index`` can be
     driven by :func:`~repro.engine.runner.run_until_consensus`; the
-    population, agent, batch and adversarial engines all conform (the
-    asynchronous engine conforms with ``round_index`` measured in
-    synchronous-equivalent rounds).
+    population, agent and asynchronous engines conform (the
+    asynchronous engine with ``round_index`` measured in
+    synchronous-equivalent rounds).  The batch engines expose an
+    ``(R, k)`` ``counts`` matrix instead and bring their own
+    ``run_until_consensus``.
     """
 
     counts: object
@@ -80,7 +86,7 @@ class EngineInfo:
     supports_adversary: bool = False
 
 
-_REGISTRY: dict[str, EngineInfo] = {}
+_ENGINES: Registry[EngineInfo] = Registry("engine")
 
 
 def register_engine(
@@ -97,23 +103,13 @@ def register_engine(
     """Register an engine under ``name``; returns the registry entry.
 
     Names are case-sensitive spec strings (``"population"``,
-    ``"batch"``, ...).  Re-registering an existing name raises unless
-    ``replace=True`` (useful for tests and experimental overrides).
+    ``"batch"``, ...).
 
     Capability flags fail closed (all default ``False``): an engine
     must explicitly declare the spec dimensions its runner honours, so
     a runner that ignores ``spec.target`` or ``spec.adversary`` can
     never silently run the un-targeted, un-attacked chain.
     """
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            f"engine name must be a non-empty string, got {name!r}"
-        )
-    if name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"engine {name!r} is already registered; pass replace=True "
-            "to override it"
-        )
     info = EngineInfo(
         name=name,
         run=run,
@@ -123,26 +119,9 @@ def register_engine(
         supports_observers=supports_observers,
         supports_adversary=supports_adversary,
     )
-    _REGISTRY[name] = info
-    return info
+    return _ENGINES.register(name, info, replace=replace)
 
 
-def unregister_engine(name: str) -> None:
-    """Remove a registry entry (no-op when absent); for tests/plugins."""
-    _REGISTRY.pop(name, None)
-
-
-def get_engine(name: str) -> EngineInfo:
-    """Look up a registered engine by its spec string."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown engine {name!r}; known engines: "
-            f"{available_engines()}"
-        ) from None
-
-
-def available_engines() -> list[str]:
-    """Sorted spec strings of every registered engine."""
-    return sorted(_REGISTRY)
+get_engine = _ENGINES.get
+available_engines = _ENGINES.names
+unregister_engine = _ENGINES.unregister

@@ -1,13 +1,13 @@
 """String-keyed registry of named fault points.
 
-Mirrors the engine/backend/invariant registries: a :class:`FaultPoint`
-is declared once under a dotted name (``"store.transaction"``,
-``"sweep.cache-write"``, ...) and armed call sites reference it by that
-name via :func:`repro.faults.fault_point`.  The registry is the single
-source of truth for
+A :class:`FaultPoint` is declared once under a dotted name
+(``"store.transaction"``, ``"sweep.cache-write"``, ...) in a
+:class:`repro.registry.Registry`, and armed call sites reference it by
+that name via :func:`repro.faults.fault_point`.  The registry is the
+single source of truth for
 
-* which injection sites exist (``repro chaos --list-points`` and the
-  README table render from it),
+* which injection sites exist (:func:`available_fault_points`; the
+  README table lists the same catalogue by hand),
 * which fault *kinds* each site supports (a plan scheduling an
   unsupported kind is rejected at plan-construction time, not when the
   occurrence finally fires mid-run), and
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 __all__ = [
     "FAULT_KINDS",
@@ -74,11 +75,6 @@ class FaultPoint:
     context_keys: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ConfigurationError(
-                f"fault point name must be a non-empty string, "
-                f"got {self.name!r}"
-            )
         unknown = [k for k in self.kinds if k not in FAULT_KINDS]
         if unknown:
             raise ConfigurationError(
@@ -99,44 +95,10 @@ class FaultPoint:
                 )
 
 
-_POINTS: dict[str, FaultPoint] = {}
+_POINTS: Registry[FaultPoint] = Registry("fault point")
 
-
-def declare_fault_point(
-    point: FaultPoint, *, replace: bool = False
-) -> FaultPoint:
-    """Register ``point`` under its name.
-
-    Duplicate names raise :class:`ConfigurationError` unless
-    ``replace=True``, matching every other registry in the package.
-    """
-    if point.name in _POINTS and not replace:
-        raise ConfigurationError(
-            f"fault point {point.name!r} is already declared; pass "
-            "replace=True to overwrite it"
-        )
-    _POINTS[point.name] = point
-    return point
-
-
-def get_fault_point(name: str) -> FaultPoint:
-    """Return the declared point or raise :class:`ConfigurationError`."""
-    try:
-        return _POINTS[name]
-    except KeyError:
-        known = ", ".join(available_fault_points()) or "none declared"
-        raise ConfigurationError(
-            f"unknown fault point {name!r}; declared points: {known}"
-        ) from None
-
-
-def available_fault_points() -> list[str]:
-    """Sorted names of every declared fault point."""
-    return sorted(_POINTS)
-
-
-def unregister_fault_point(name: str) -> None:
-    """Remove ``name`` from the registry (primarily for tests)."""
-    if name not in _POINTS:
-        raise ConfigurationError(f"unknown fault point {name!r}")
-    del _POINTS[name]
+#: Register a point under its ``name``; returns it.
+declare_fault_point = _POINTS.add
+get_fault_point = _POINTS.get
+available_fault_points = _POINTS.names
+unregister_fault_point = _POINTS.unregister

@@ -39,7 +39,7 @@ from repro.engine import (
     BatchPopulationEngine,
     PopulationEngine,
 )
-from repro.engine.registry import available_engines, get_engine
+from repro.engine.registry import get_engine
 from repro.errors import ConfigurationError
 from repro.graphs.complete import CompleteGraph
 from repro.invariants.trace import LedgerAdversary, RunTrace
@@ -76,11 +76,7 @@ def run_traced(
     forever.  Asynchronous families interpret ``max_rounds`` as
     ``max_rounds * n`` ticks, matching their registry adapters.
     """
-    if engine_name not in available_engines():
-        raise ConfigurationError(
-            f"unknown engine {engine_name!r}; known engines: "
-            f"{available_engines()}"
-        )
+    info = get_engine(engine_name)  # unknown names raise
     if max_rounds < 0:
         raise ConfigurationError(
             f"max_rounds must be non-negative, got {max_rounds}"
@@ -95,7 +91,6 @@ def run_traced(
         counts = base
     num_labels = int(counts.size)
 
-    info = get_engine(engine_name)
     target = None
     if adversary is not None:
         if adversary_budget is None:

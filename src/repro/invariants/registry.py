@@ -1,12 +1,10 @@
 """Invariant registry: named, enumerable run-trace checks.
 
-Mirrors the engine, backend and lint-rule registries
-(:mod:`repro.engine.registry`, :mod:`repro.backends.registry`,
-:mod:`repro.lint.model`): an invariant is registered under a short
-kebab-case name, looked up by name and enumerated for the harness and
-the tests — and because the registry follows the shared shape,
-``repro lint``'s *registry-completeness* rule statically checks that
-every concrete invariant class in the package is actually registered.
+An invariant is registered under a short kebab-case name in a
+:class:`repro.registry.Registry`, looked up by name and enumerated for
+the harness and the tests; ``repro lint``'s *registry-completeness*
+rule statically checks that every concrete invariant class in the
+package is actually registered.
 
 An invariant is any object satisfying :class:`Invariant`:
 
@@ -22,7 +20,7 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 __all__ = [
     "Invariant",
@@ -45,50 +43,13 @@ class Invariant(Protocol):
         ...
 
 
-_REGISTRY: dict[str, Invariant] = {}
+_INVARIANTS: Registry[Invariant] = Registry("invariant")
 
-
-def register_invariant(
-    invariant: Invariant, *, replace: bool = False
-) -> Invariant:
-    """Register ``invariant`` under ``invariant.name``; returns it.
-
-    Duplicate names raise :class:`ConfigurationError` unless
-    ``replace=True``, matching the engine and backend registries.
-    """
-    name = getattr(invariant, "name", None)
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            f"invariant name must be a non-empty string, got {name!r}"
-        )
-    if name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"invariant {name!r} is already registered; pass "
-            "replace=True to override it"
-        )
-    _REGISTRY[name] = invariant
-    return invariant
-
-
-def unregister_invariant(name: str) -> None:
-    """Remove a registry entry (no-op when absent); for tests/plugins."""
-    _REGISTRY.pop(name, None)
-
-
-def get_invariant(name: str) -> Invariant:
-    """Look up a registered invariant by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown invariant {name!r}; known invariants: "
-            f"{available_invariants()}"
-        ) from None
-
-
-def available_invariants() -> list[str]:
-    """Sorted names of every registered invariant."""
-    return sorted(_REGISTRY)
+#: Register an invariant under its ``name``; returns it.
+register_invariant = _INVARIANTS.add
+get_invariant = _INVARIANTS.get
+available_invariants = _INVARIANTS.names
+unregister_invariant = _INVARIANTS.unregister
 
 
 def check_trace(trace, select: list[str] | None = None) -> None:

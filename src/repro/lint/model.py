@@ -1,10 +1,8 @@
 """Lint-rule model: diagnostics, the rule protocol and the registry.
 
-Mirrors the engine and backend registries
-(:mod:`repro.engine.registry`, :mod:`repro.backends.registry`): rules
-are registered under a short kebab-case name, looked up by name and
-enumerated for the CLI.  A rule is any object satisfying
-:class:`LintRule` —
+Rules are registered under a short kebab-case name in a
+:class:`repro.registry.Registry`, looked up by name and enumerated for
+the CLI.  A rule is any object satisfying :class:`LintRule` —
 
 ``name`` / ``description`` / ``severity``
     Identity, a one-line human summary (shown by ``repro lint --list``)
@@ -30,6 +28,7 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 __all__ = [
     "Diagnostic",
@@ -71,50 +70,24 @@ class LintRule(Protocol):
         ...
 
 
-_REGISTRY: dict[str, LintRule] = {}
+_RULES: Registry[LintRule] = Registry("lint rule")
 
 
 def register_rule(rule: LintRule, *, replace: bool = False) -> LintRule:
     """Register ``rule`` under ``rule.name``; returns the rule.
 
-    Duplicate names raise :class:`ConfigurationError` unless
-    ``replace=True``, matching the engine and backend registries.
+    On top of the shared registry policy, the rule's ``severity`` must
+    be one of :data:`SEVERITIES`.
     """
-    name = getattr(rule, "name", None)
-    if not name or not isinstance(name, str):
+    severity = getattr(rule, "severity", None)
+    if severity not in SEVERITIES:
         raise ConfigurationError(
-            f"lint rule name must be a non-empty string, got {name!r}"
+            f"lint rule {getattr(rule, 'name', None)!r} severity must be "
+            f"one of {SEVERITIES}, got {severity!r}"
         )
-    if getattr(rule, "severity", None) not in SEVERITIES:
-        raise ConfigurationError(
-            f"lint rule {name!r} severity must be one of {SEVERITIES}, "
-            f"got {getattr(rule, 'severity', None)!r}"
-        )
-    if name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"lint rule {name!r} is already registered; pass "
-            "replace=True to override it"
-        )
-    _REGISTRY[name] = rule
-    return rule
+    return _RULES.add(rule, replace=replace)
 
 
-def unregister_rule(name: str) -> None:
-    """Remove a registry entry (no-op when absent); for tests/plugins."""
-    _REGISTRY.pop(name, None)
-
-
-def get_rule(name: str) -> LintRule:
-    """Look up a registered rule by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown lint rule {name!r}; known rules: "
-            f"{available_rules()}"
-        ) from None
-
-
-def available_rules() -> list[str]:
-    """Sorted names of every registered rule."""
-    return sorted(_REGISTRY)
+get_rule = _RULES.get
+available_rules = _RULES.names
+unregister_rule = _RULES.unregister

@@ -6,20 +6,20 @@ The repo routes construction through string-keyed registries (the PR
 kernels via ``backend.kernel(name)``.  A class that exists but is not
 registered is dead weight the CLI/sweep/spec layers can't reach — and
 a kernel exported by the numba backend that no dispatch site requests
-is untested compiled code.  Four sub-checks:
+is untested compiled code.  Five sub-checks:
 
 * every concrete ``Dynamics`` subclass in ``core/`` is referenced by
   ``core/registry.py``;
 * every ``*Engine`` class (outside the registry module's protocol) is
   passed to a ``register_engine`` call in its own module;
-* every concrete ``*Backend`` class (Protocol definitions exempt) is
-  passed to a ``register_backend`` call somewhere in the tree;
+* every concrete ``*Backend`` class in ``backends/`` and ``*Invariant``
+  class in ``invariants/`` (Protocol definitions exempt) is passed to a
+  ``register_backend`` / ``register_invariant`` call somewhere in the
+  tree, so the cross-engine harness can never silently drop a check
+  (one table-driven check, :data:`_CLASS_REGISTRATIONS`);
 * every name in ``numba_kernels.py``'s ``KERNEL_NAMES`` is requested
   by some ``.kernel("<name>")`` or ``backend_kernel("<name>")``
   dispatch site;
-* every concrete ``*Invariant`` class in ``invariants/`` (Protocol
-  definitions exempt) is passed to a ``register_invariant`` call, so
-  the cross-engine harness can never silently drop a check;
 * every fault point declared in ``faults/points.py`` has at least one
   armed ``fault_point("<name>")`` call site in the tree, and every
   armed call names a declared point — so the chaos catalogue can
@@ -65,6 +65,17 @@ def _calls_to(tree: ast.AST, function: str) -> list[ast.Call]:
     return calls
 
 
+def _first_str_arg(call: ast.Call) -> str | None:
+    """The call's first positional argument, if it is a string literal."""
+    if (
+        call.args
+        and isinstance(call.args[0], ast.Constant)
+        and isinstance(call.args[0].value, str)
+    ):
+        return call.args[0].value
+    return None
+
+
 def _has_protocol_base(cls: ast.ClassDef) -> bool:
     for base in cls.bases:
         try:
@@ -77,6 +88,19 @@ def _has_protocol_base(cls: ast.ClassDef) -> bool:
 
 def _module_classes(file: SourceFile) -> list[ast.ClassDef]:
     return [n for n in file.tree.body if isinstance(n, ast.ClassDef)]
+
+
+#: directory -> (class-name suffix, registering call, diagnostic tail):
+#: every concrete class with that suffix in that directory must be
+#: passed to that call somewhere in the tree.
+_CLASS_REGISTRATIONS = {
+    "backends": ("Backend", "register_backend", ""),
+    "invariants": (
+        "Invariant",
+        "register_invariant",
+        "; check_trace can never run it",
+    ),
+}
 
 
 class RegistryCompletenessRule:
@@ -92,9 +116,8 @@ class RegistryCompletenessRule:
     def check(self, context: LintContext) -> Iterator[Diagnostic]:
         yield from self._check_dynamics(context)
         yield from self._check_engines(context)
-        yield from self._check_backends(context)
+        yield from self._check_registered_classes(context)
         yield from self._check_kernels(context)
-        yield from self._check_invariants(context)
         yield from self._check_fault_points(context)
 
     # -- dynamics ------------------------------------------------------
@@ -158,61 +181,36 @@ class RegistryCompletenessRule:
                         ),
                     )
 
-    # -- backends ------------------------------------------------------
-    def _check_backends(self, context: LintContext) -> Iterator[Diagnostic]:
-        registered: set[str] = set()
-        for file in context.files:
-            for call in _calls_to(file.tree, "register_backend"):
-                registered |= _names_in(call)
-        for file in context.in_directory("backends"):
-            if file.name == "registry.py":
-                continue
-            for cls in _module_classes(file):
-                if not cls.name.endswith("Backend"):
-                    continue
-                if _has_protocol_base(cls):
-                    continue
-                if cls.name not in registered:
-                    yield Diagnostic(
-                        path=file.relative,
-                        line=cls.lineno,
-                        rule=self.name,
-                        message=(
-                            f"backend class {cls.name} is not passed to "
-                            "a register_backend call anywhere in the tree"
-                        ),
-                    )
-
-    # -- invariants ----------------------------------------------------
-    def _check_invariants(
+    # -- backend and invariant classes --------------------------------
+    def _check_registered_classes(
         self, context: LintContext
     ) -> Iterator[Diagnostic]:
-        registered: set[str] = set()
-        for file in context.files:
-            for call in _calls_to(file.tree, "register_invariant"):
-                registered |= _names_in(call)
-        for file in context.in_directory("invariants"):
-            if file.name == "registry.py":
-                continue
-            for cls in _module_classes(file):
-                if (
-                    not cls.name.endswith("Invariant")
-                    or cls.name == "Invariant"
-                ):
+        for directory, (suffix, function, consequence) in (
+            _CLASS_REGISTRATIONS.items()
+        ):
+            registered: set[str] = set()
+            for file in context.files:
+                for call in _calls_to(file.tree, function):
+                    registered |= _names_in(call)
+            for file in context.in_directory(directory):
+                if file.name == "registry.py":
                     continue
-                if _has_protocol_base(cls):
-                    continue
-                if cls.name not in registered:
-                    yield Diagnostic(
-                        path=file.relative,
-                        line=cls.lineno,
-                        rule=self.name,
-                        message=(
-                            f"invariant class {cls.name} is not passed "
-                            "to a register_invariant call anywhere in "
-                            "the tree; check_trace can never run it"
-                        ),
-                    )
+                for cls in _module_classes(file):
+                    if not cls.name.endswith(suffix):
+                        continue
+                    if _has_protocol_base(cls):
+                        continue
+                    if cls.name not in registered:
+                        yield Diagnostic(
+                            path=file.relative,
+                            line=cls.lineno,
+                            rule=self.name,
+                            message=(
+                                f"{suffix.lower()} class {cls.name} is "
+                                f"not passed to a {function} call "
+                                f"anywhere in the tree{consequence}"
+                            ),
+                        )
 
     # -- kernels -------------------------------------------------------
     def _check_kernels(self, context: LintContext) -> Iterator[Diagnostic]:
@@ -235,27 +233,18 @@ class RegistryCompletenessRule:
             for n in ast.walk(assignment.value)
             if isinstance(n, ast.Constant) and isinstance(n.value, str)
         }
-        requested: set[str] = set()
+        requested: set[str | None] = set()
         for file in context.files:
-            # Direct dispatch: backend.kernel("<name>").
-            for call in _calls_to(file.tree, "kernel"):
-                if (
-                    isinstance(call.func, ast.Attribute)
-                    and call.args
-                    and isinstance(call.args[0], ast.Constant)
-                    and isinstance(call.args[0].value, str)
-                ):
-                    requested.add(call.args[0].value)
-            # Quarantine-aware dispatch: backend_kernel("<name>")
-            # resolves the active backend and the fault wrapper itself.
-            for call in _calls_to(file.tree, "backend_kernel"):
-                if (
-                    isinstance(call.func, ast.Name)
-                    and call.args
-                    and isinstance(call.args[0], ast.Constant)
-                    and isinstance(call.args[0].value, str)
-                ):
-                    requested.add(call.args[0].value)
+            # Direct dispatch: backend.kernel("<name>").  Quarantine-
+            # aware dispatch: backend_kernel("<name>") resolves the
+            # active backend and the fault wrapper itself.
+            for function, func_type in (
+                ("kernel", ast.Attribute),
+                ("backend_kernel", ast.Name),
+            ):
+                for call in _calls_to(file.tree, function):
+                    if isinstance(call.func, func_type):
+                        requested.add(_first_str_arg(call))
         for name in sorted(exported - requested):
             yield Diagnostic(
                 path=kernels_file.relative,
@@ -277,25 +266,17 @@ class RegistryCompletenessRule:
             return
         declared: dict[str, int] = {}
         for call in _calls_to(catalogue.tree, "FaultPoint"):
-            if (
-                call.args
-                and isinstance(call.args[0], ast.Constant)
-                and isinstance(call.args[0].value, str)
-            ):
-                declared[call.args[0].value] = call.lineno
+            name = _first_str_arg(call)
+            if name is not None:
+                declared[name] = call.lineno
         armed: dict[str, tuple[str, int]] = {}
         for file in context.files:
             if file is catalogue:
                 continue
             for call in _calls_to(file.tree, "fault_point"):
-                if (
-                    call.args
-                    and isinstance(call.args[0], ast.Constant)
-                    and isinstance(call.args[0].value, str)
-                ):
-                    armed.setdefault(
-                        call.args[0].value, (file.relative, call.lineno)
-                    )
+                name = _first_str_arg(call)
+                if name is not None:
+                    armed.setdefault(name, (file.relative, call.lineno))
         for name in sorted(set(declared) - set(armed)):
             yield Diagnostic(
                 path=catalogue.relative,

@@ -59,14 +59,6 @@ class TestRegistryContents:
         assert not get_engine("async").supports_target
         assert get_engine("population").supports_observers
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_engine("population", lambda spec: [])
-
-    def test_bad_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            register_engine("", lambda spec: [])
-
     def test_capability_flags_fail_closed_by_default(self):
         """An engine must declare what its runner honours; defaults
         reject target/adversary specs instead of silently ignoring

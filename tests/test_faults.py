@@ -45,11 +45,8 @@ from repro.faults import (
     available_fault_points,
     available_plans,
     builtin_plan,
-    declare_fault_point,
     fault_point,
     faults_armed,
-    get_fault_point,
-    unregister_fault_point,
     use_fault_plan,
 )
 from repro.faults.plan import FAULT_PLAN_ENV_VAR
@@ -112,23 +109,6 @@ class TestFaultPointRegistry:
             "backend.kernel",
         ):
             assert expected in names
-
-    def test_declare_get_unregister(self):
-        point = FaultPoint("test.point", "doc", kinds=("error",))
-        declare_fault_point(point)
-        try:
-            assert get_fault_point("test.point") is point
-            assert "test.point" in available_fault_points()
-        finally:
-            unregister_fault_point("test.point")
-        with pytest.raises(ConfigurationError, match="test.point"):
-            get_fault_point("test.point")
-
-    def test_duplicate_declaration_raises(self):
-        with pytest.raises(ConfigurationError, match="already declared"):
-            declare_fault_point(
-                FaultPoint("store.transaction", "imposter")
-            )
 
     def test_torn_write_requires_write_context(self):
         with pytest.raises(ConfigurationError, match="torn-write"):

@@ -6,7 +6,8 @@ full recording and demands a clean :func:`~repro.invariants.check_trace`
 pass — the "simulator runs but lies" net.  The negative tests hand the
 checks deliberately violating traces and pin down that each one raises
 :class:`~repro.errors.InvariantViolation` naming its invariant.  The
-registry behaves like the engine/backend/lint registries it mirrors.
+registry contract shared with the other registries is checked in
+``tests/test_registry.py``.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def test_undecided_censoring_ignores_dynamics_without_a_slot():
 
 
 # ---------------------------------------------------------------------
-# Registry semantics (mirrors the engine/backend registries)
+# Registry semantics
 # ---------------------------------------------------------------------
 
 
@@ -312,21 +313,7 @@ def test_register_and_unregister_roundtrip():
     assert "tautology" not in available_invariants()
 
 
-def test_duplicate_registration_requires_replace():
-    register_invariant(_TautologyInvariant())
-    try:
-        with pytest.raises(ConfigurationError):
-            register_invariant(_TautologyInvariant())
-        register_invariant(_TautologyInvariant(), replace=True)
-    finally:
-        unregister_invariant("tautology")
-
-
 def test_invalid_and_unknown_names_are_rejected():
-    with pytest.raises(ConfigurationError):
-        register_invariant(object())  # no name attribute
-    with pytest.raises(ConfigurationError):
-        get_invariant("no-such-invariant")
     trace = _trace()
     with pytest.raises(ConfigurationError):
         check_trace(trace, select=["no-such-invariant"])

@@ -18,10 +18,8 @@ from repro.errors import ConfigurationError
 from repro.lint import (
     Diagnostic,
     available_rules,
-    get_rule,
     register_rule,
     run_lint,
-    unregister_rule,
 )
 
 ALL_RULES = {
@@ -58,21 +56,6 @@ class _DummyRule:
 
     def check(self, context):
         return []
-
-
-def test_registry_register_lookup_unregister():
-    try:
-        register_rule(_DummyRule())
-        assert "dummy-rule" in available_rules()
-        assert get_rule("dummy-rule").description == "a test rule"
-        with pytest.raises(ConfigurationError):
-            register_rule(_DummyRule())
-        register_rule(_DummyRule(), replace=True)
-    finally:
-        unregister_rule("dummy-rule")
-    assert "dummy-rule" not in available_rules()
-    with pytest.raises(ConfigurationError):
-        get_rule("dummy-rule")
 
 
 def test_registry_rejects_bad_severity():
