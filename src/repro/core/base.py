@@ -19,10 +19,13 @@ three views of the same Markov chain:
     option off the complete graph.  On the complete graph it must agree
     in distribution with ``population_step`` (tests enforce this).
 
-``async_population_step``
+``async_population_step`` and ``async_jump_batch``
     One tick of the asynchronous variant ([CMRSS25]): a single uniformly
     random vertex re-samples its opinion.  ``n`` async ticks correspond to
-    one synchronous round.
+    one synchronous round.  ``async_jump_batch`` gives the same law in
+    jump-chain form — the probability that a tick changes a row and the
+    transition ``(old, new)`` given that it does — which lets the
+    batched asynchronous engine skip the ticks that change nothing.
 
 Subclasses additionally expose ``expected_alpha_next`` so that the theory
 module and tests can check the one-step mean formulas of Lemma 4.1 against
@@ -30,10 +33,10 @@ Monte-Carlo estimates.
 
 Compute backends
 ----------------
-The measured hot loops in this module (``batch_categorical``,
-``sample_holders_batch`` and the fused neighbour sample+gather helper)
-consult :func:`repro.backends.active_backend` for a named kernel before
-running their inline NumPy code.  The inline code *is* the ``numpy``
+The sampling helpers ``batch_categorical``, ``sample_holders_batch`` and
+the fused neighbour sample+gather helper consult
+:func:`repro.backends.active_backend` for a named kernel before running
+their inline NumPy code.  The inline code *is* the ``numpy``
 backend — the reference implementation every accelerated kernel is
 tested against — so dispatch falls through to it whenever the active
 backend does not accelerate the kernel in question.
@@ -58,11 +61,14 @@ __all__ = [
     "batch_multinomial_counts",
     "gather_neighbor_opinions_batch",
     "iter_row_chunks",
+    "jump_from_joint",
+    "jump_from_product",
     "multinomial_counts",
     "sample_and_gather_neighbor_opinions_batch",
     "sample_holders_batch",
     "sample_opinions_from_counts",
     "sample_opinions_from_counts_batch",
+    "weighted_index",
 ]
 
 #: Default per-call scratch budget (array *elements*, not bytes) for the
@@ -241,10 +247,9 @@ def sample_holders_batch(
 
     Returns an ``(R, num_samples)`` label matrix whose row ``r`` holds
     i.i.d. opinions of uniformly random vertices of replica ``r`` — the
-    few-samples counterpart of :func:`sample_opinions_from_counts_batch`
-    used by the per-tick asynchronous batch steps, where each row needs
-    only a handful of draws and a multinomial + shuffle would be
-    overkill.
+    few-samples counterpart of :func:`sample_opinions_from_counts_batch`,
+    for callers that need only a handful of draws per row, where a
+    multinomial + shuffle would be overkill.
 
     Sampling is integer-exact (inverse CDF over the *integer* cumulative
     counts): a label with count 0 has an empty cdf step and can never be
@@ -285,10 +290,9 @@ def batch_categorical(
     """One categorical draw per row of an ``(R, k)`` probability matrix.
 
     The single-draw counterpart of :func:`batch_multinomial_counts`
-    (same defensive row-sum validation, same error reporting), used by
-    the asynchronous batch steps to sample each replica's updating
-    vertex's *next* opinion from its closed-form law in one vectorised
-    inverse-CDF pass.  Rows are renormalised implicitly: the uniform
+    (same defensive row-sum validation, same error reporting): one
+    vectorised inverse-CDF pass samples each row's label from its
+    closed-form law.  Rows are renormalised implicitly: the uniform
     variate is scaled by the row total, so round-off in the law never
     biases the draw.
     """
@@ -310,11 +314,72 @@ def batch_categorical(
             return kernel(p, rng)
         except Exception as exc:
             quarantine_kernel(active_backend(), "batch_categorical", exc)
-    cdf = np.cumsum(p, axis=1)
-    # rng.random() < 1 strictly, so u < cdf[:, -1] and the index stays
-    # in range without clipping.
-    u = rng.random(p.shape[0]) * cdf[:, -1]
-    return (cdf <= u[:, None]).sum(axis=1)
+    return weighted_index(p, rng.random(p.shape[0]))[0]
+
+
+def weighted_index(
+    weights: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise inverse CDF of nonnegative ``(R, k)`` weights at ``u``.
+
+    Returns the picked labels and the row totals.  The pick is the
+    first label whose cumulative weight exceeds ``u`` times the row
+    total, so a zero-weight label (an empty cdf step) is never picked.
+    A uniform ``u < 1`` scaled by the row total stays below it, so the
+    result needs no clipping; an all-zero row (whose draw callers
+    discard) gives label 0.
+    """
+    cdf = np.add.accumulate(weights, axis=1)
+    totals = cdf[:, -1]
+    return (cdf > (u * totals)[:, None]).argmax(axis=1), totals
+
+
+def jump_from_joint(
+    joint: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jump law of one asynchronous tick from its ``(R, k, k)`` joint law.
+
+    ``joint[r, m, j]`` is the probability that row ``r``'s updating
+    vertex holds ``m`` and moves to ``j``.  The diagonal (ticks that
+    change nothing) is dropped in place; the off-diagonal mass is the
+    change probability, and one categorical draw over the ``k * k``
+    cells picks ``(old, new)`` given a change.  Returns ``(p_change,
+    old, new)``, as :meth:`Dynamics.async_jump_batch` does.
+    """
+    num_rows, k, _ = joint.shape
+    joint[:, np.arange(k), np.arange(k)] = 0.0
+    cell, p_change = weighted_index(
+        joint.reshape(num_rows, k * k), rng.random(num_rows)
+    )
+    return p_change, cell // k, cell % k
+
+
+def jump_from_product(
+    alpha: np.ndarray,
+    q: np.ndarray,
+    q_total: np.ndarray | float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jump law of a tick whose joint law is ``alpha_m * q_j`` off the
+    diagonal, in O(R k).
+
+    This covers every dynamics whose adoption weights ``q`` (shape
+    ``(R, k)``, row sums ``q_total``) do not depend on the updating
+    vertex's own opinion: 3-Majority, h-Majority and Voter (``q`` is
+    the next-opinion law, ``q_total = 1``) and 2-Choices (``q =
+    alpha**2``, the chance that both samples show ``j``; a vertex whose
+    samples disagree keeps its opinion).  Given a change, ``old`` is
+    drawn ``∝ alpha_m (q_total - q_m)`` and then ``new ∝ q`` with
+    ``q_old`` set to 0, which multiplies back to the joint law.  ``q``
+    is overwritten.  Returns ``(p_change, old, new)``.
+    """
+    leave = alpha * (q_total - q)
+    np.maximum(leave, 0.0, out=leave)
+    rows = np.arange(alpha.shape[0])
+    u = rng.random((2, rows.size))
+    old, p_change = weighted_index(leave, u[0])
+    q[rows, old] = 0.0
+    return p_change, old, weighted_index(q, u[1])[0]
 
 
 def gather_neighbor_opinions_batch(
@@ -561,24 +626,53 @@ class Dynamics(abc.ABC):
         ``counts`` is an ``(R, k)`` int64 matrix, one replica per row;
         in every row a single uniformly random vertex re-samples its
         opinion (the same law as :meth:`async_population_step`, applied
-        row-wise).  The matrix is updated in place and returned — the
-        per-tick hot path of
-        :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine`.
+        row-wise).  The matrix is updated in place and returned.
 
-        The base implementation loops :meth:`async_population_step`
-        over rows (correct for any dynamics with a single-vertex law,
-        no speedup).  Every catalogued dynamics overrides it with a
-        vectorised sampler built on :func:`sample_holders_batch` (the
-        updating vertex and any sampled neighbours are integer-exact
-        draws from each row's counts) plus either the combination rule
-        applied label-wise or one :func:`batch_categorical` draw from
-        the closed-form law; ``benchmarks/bench_async_batch.py`` guards
-        the overrides and tracks the speedup.
+        Derived once from :meth:`async_jump_batch`: a row changes with
+        probability ``p_change``, and then by the drawn ``(old, new)``.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        for row in counts:
-            self.async_population_step(row, rng)
+        p_change, old, new = self.async_jump_batch(counts, rng)
+        moved = np.flatnonzero(rng.random(counts.shape[0]) < p_change)
+        counts[moved, old[moved]] -= 1
+        counts[moved, new[moved]] += 1
         return counts
+
+    def async_jump_batch(
+        self, counts: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jump-chain form of one asynchronous tick, for R replicas.
+
+        ``counts`` is an ``(R, k)`` int64 matrix (left unchanged).
+        Returns ``(p_change, old, new)``: per row, the probability that
+        a tick moves a vertex to a different opinion, and one draw of
+        the move ``old -> new`` (``old != new``) from the tick's law
+        conditioned on a change.  Rows with ``p_change == 0`` return an
+        arbitrary in-range pair that callers must discard.  The law is
+        ``P[old = m, new = j] = alpha_m * single_vertex_law(alpha, m)_j``
+        for ``j != m``.  Randomness comes from ``rng.random`` only, one
+        length-R vector of uniforms per categorical stage (stages may
+        draw theirs together as one ``(stages, R)`` block).
+
+        :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine`
+        runs the embedded jump chain on it: a row's next change comes
+        after a Geometric(``p_change``) number of ticks, so the ticks
+        that change nothing are never simulated.  The base
+        implementation builds the ``(R, k, k)`` joint law from
+        :meth:`single_vertex_law` row by row (correct for any dynamics
+        with a single-vertex law, no speedup); every catalogue dynamics
+        overrides it with an O(R k) form (Median: O(R k^2)).
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        num_rows, k = counts.shape
+        joint = np.zeros((num_rows, k, k))
+        for r, row in enumerate(counts):
+            alpha = row / row.sum()
+            for m in np.flatnonzero(row):
+                joint[r, m] = alpha[m] * self.single_vertex_law(
+                    alpha, int(m)
+                )
+        return jump_from_joint(joint, rng)
 
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int

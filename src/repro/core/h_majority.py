@@ -24,8 +24,8 @@ from repro.backends import active_backend, backend_kernel, quarantine_kernel
 from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
+    jump_from_product,
     multinomial_counts,
-    sample_holders_batch,
 )
 from repro.graphs.base import Graph
 
@@ -277,26 +277,20 @@ class HMajority(Dynamics):
         samples = opinions[graph.sample_neighbors(rng, self.h)]
         return majority_winners(samples, rng)
 
-    def async_population_step_batch(
+    def async_jump_batch(
         self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jump law of one asynchronous tick across all R rows.
 
-        Per row: the updating vertex's opinion plus its ``h`` neighbour
-        samples (integer-exact draws) reduced by the shared
-        :func:`majority_winners` pass.  One vertex per row costs
-        O(R h^2), cheaper than building :func:`hmajority_law` every
-        tick, and samples the same law.
+        The next opinion is drawn from :func:`hmajority_law`, whatever
+        the current one, so a tick moves ``m -> j`` with probability
+        ``alpha_m law_j`` for ``j != m``.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        draws = sample_holders_batch(counts, self.h + 1, rng)
-        old = draws[:, 0]
-        new = majority_winners(draws[:, 1:], rng)
-        rows = np.arange(counts.shape[0])
-        counts[rows, old] -= 1
-        counts[rows, new] += 1
-        return counts
-
+        alpha = counts / counts.sum(axis=1)[:, None]
+        return jump_from_product(
+            alpha, hmajority_law(alpha, self.h), 1.0, rng
+        )
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int
     ) -> np.ndarray:

@@ -20,7 +20,7 @@ from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
     iter_row_chunks,
-    sample_holders_batch,
+    jump_from_joint,
     sample_opinions_from_counts,
 )
 from repro.graphs.base import Graph
@@ -36,6 +36,27 @@ def _median_of_three(
     low = np.minimum(np.minimum(own, first), second)
     high = np.maximum(np.maximum(own, first), second)
     return total - low - high
+
+
+def _group_law(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row fractions ``(R, k)`` and the ``(R, k, k)`` group-law tensor.
+
+    ``law[r, m]`` is :meth:`MedianRule.single_vertex_law` of row ``r``
+    for a vertex holding ``m``, vectorised over rows *and* conditioning
+    opinions.
+    """
+    k = rows.shape[1]
+    alpha = rows / rows.sum(axis=1)[:, None]
+    cdf = np.cumsum(alpha, axis=1)
+    both = cdf * cdf
+    one = 2.0 * cdf * (1.0 - cdf)
+    # own_le[m, x] is "own opinion m counted as <= x", exactly the
+    # ``below`` mask of single_vertex_law for every conditioning m.
+    own_le = np.arange(k)[None, :] >= np.arange(k)[:, None]
+    med_cdf = both[:, None, :] + one[:, None, :] * own_le[None, :, :]
+    law = np.diff(med_cdf, axis=-1, prepend=0.0)
+    np.clip(law, 0.0, None, out=law)
+    return alpha, law
 
 
 class MedianRule(Dynamics):
@@ -94,17 +115,7 @@ class MedianRule(Dynamics):
     ) -> np.ndarray:
         """One vectorised round for a chunk of replica rows."""
         num_rows, k = rows.shape
-        totals = rows.sum(axis=1)
-        alpha = rows / totals[:, None]
-        cdf = np.cumsum(alpha, axis=1)
-        both = cdf * cdf
-        one = 2.0 * cdf * (1.0 - cdf)
-        # own_le[m, x] is "own opinion m counted as <= x", exactly the
-        # ``below`` mask of single_vertex_law for every conditioning m.
-        own_le = np.arange(k)[None, :] >= np.arange(k)[:, None]
-        med_cdf = both[:, None, :] + one[:, None, :] * own_le[None, :, :]
-        law = np.diff(med_cdf, axis=-1, prepend=0.0)
-        np.clip(law, 0.0, None, out=law)
+        _, law = _group_law(rows)
         draws = batch_multinomial_counts(
             rows.reshape(-1), law.reshape(-1, k), rng, self.name
         )
@@ -142,24 +153,30 @@ class MedianRule(Dynamics):
         # Clip tiny negatives from floating-point cancellation.
         return np.clip(pmf, 0.0, None)
 
-    def async_population_step_batch(
+    def async_jump_batch(
         self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jump law of one asynchronous tick across all R rows.
 
-        Per row: the updating vertex's opinion plus two i.i.d.
-        neighbour opinions (three integer-exact draws) combined with the
-        vectorised median-of-three — exactly the law
-        :meth:`single_vertex_law` closes over.
+        A tick moves ``m -> j`` with probability ``alpha_m law(m)_j``,
+        the off-diagonal of the same ``(R, k, k)`` group-law tensor
+        :meth:`population_step_batch` draws from, scaled by the group
+        fractions (O(R k^2), chunked under ``batch_element_budget``).
         """
         counts = np.asarray(counts, dtype=np.int64)
-        draws = sample_holders_batch(counts, 3, rng)
-        old = draws[:, 0]
-        new = _median_of_three(old, draws[:, 1], draws[:, 2])
-        rows = np.arange(counts.shape[0])
-        counts[rows, old] -= 1
-        counts[rows, new] += 1
-        return counts
+        num_rows, k = counts.shape
+        p_change = np.empty(num_rows)
+        old = np.empty(num_rows, dtype=np.int64)
+        new = np.empty(num_rows, dtype=np.int64)
+        for start, stop in iter_row_chunks(
+            num_rows, k * k, self.batch_element_budget
+        ):
+            alpha, law = _group_law(counts[start:stop])
+            law *= alpha[:, :, None]
+            p_change[start:stop], old[start:stop], new[start:stop] = (
+                jump_from_joint(law, rng)
+            )
+        return p_change, old, new
 
     def expected_alpha_next(self, alpha: np.ndarray) -> np.ndarray:
         """Exact mean by mixing :meth:`single_vertex_law` over groups."""

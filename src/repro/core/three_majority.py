@@ -27,12 +27,11 @@ import numpy as np
 
 from repro.core.base import (
     Dynamics,
-    batch_categorical,
     batch_multinomial_counts,
     iter_row_chunks,
+    jump_from_product,
     multinomial_counts,
     sample_and_gather_neighbor_opinions_batch,
-    sample_holders_batch,
 )
 from repro.graphs.base import Graph
 
@@ -153,30 +152,20 @@ class ThreeMajority(Dynamics):
             counts[new] += 1
         return counts
 
-    def async_population_step_batch(
+    def async_jump_batch(
         self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jump law of one asynchronous tick across all R rows, O(R k).
 
-        The new opinion is independent of the current one (eq. (5)), so
-        each row needs exactly two draws: the updating vertex's current
-        opinion (integer-exact from the row's counts) and its next
-        opinion (one batched categorical from the row's closed-form
-        law).  Dead opinions keep probability 0, so the full-width law
-        is exact without per-row support tracking.
+        The next opinion is independent of the current one (eq. (5)),
+        so a tick moves ``m -> j`` with probability ``alpha_m p_j`` for
+        ``j != m`` (:func:`~repro.core.base.jump_from_product`).
         """
         counts = np.asarray(counts, dtype=np.int64)
-        totals = counts.sum(axis=1)
-        old = sample_holders_batch(counts, 1, rng)[:, 0]
-        alpha = counts / totals[:, None]
+        alpha = counts / counts.sum(axis=1)[:, None]
         gamma = np.einsum("rk,rk->r", alpha, alpha)
         law = alpha * (1.0 + alpha - gamma[:, None])
-        new = batch_categorical(law, rng, self.name)
-        rows = np.arange(counts.shape[0])
-        counts[rows, old] -= 1
-        counts[rows, new] += 1
-        return counts
-
+        return jump_from_product(alpha, law, 1.0, rng)
     def expected_alpha_next(self, alpha: np.ndarray) -> np.ndarray:
         """Lemma 4.1(i): ``E[alpha_t(i)] = alpha_i (1 + alpha_i - gamma)``."""
         return three_majority_law(alpha)

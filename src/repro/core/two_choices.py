@@ -10,19 +10,13 @@ vertex's current opinion (paper eq. (6)):
                      =  alpha_i^2                  otherwise.
 
 On the complete graph with self-loops, conditioned on round ``t-1`` the
-vertices update independently, so the group of ``c_m`` vertices currently
-holding opinion ``m`` transitions as a multinomial over
-``{stay} + {adopt j}``.  Two exact population-step strategies are
-implemented and selected by cost:
-
-* **per-group multinomials** — O(a^2) per round where ``a`` is the number
-  of alive opinions; ideal when few opinions survive;
-* **direct pair sampling** — draw ``(w1, w2)`` opinion pairs for all ``n``
-  vertices straight from ``alpha``; O(n) per round, better when ``a`` is
-  of order ``sqrt(n)`` or more (e.g. the ``k = n`` balanced start).
-
-Both are exact samplers of the same chain; the test suite checks their
-distributional agreement.
+vertices update independently, and eq. (6) is equivalent to a two-stage
+draw: a vertex *switches* with probability ``gamma`` and, given a switch,
+lands on opinion ``j`` with probability ``alpha_j^2 / gamma`` (landing on
+its own opinion counts as staying).  The landing law is the same for
+every source group, so a round is one binomial (switchers per group)
+plus one multinomial (their destinations): O(k) per round, for one
+replica or R of them.
 
 Main theorem being reproduced: consensus time ``~Theta(k)`` for all
 ``2 <= k <= n`` (Theorem 1.1).
@@ -36,9 +30,8 @@ from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
     iter_row_chunks,
-    multinomial_counts,
+    jump_from_product,
     sample_and_gather_neighbor_opinions_batch,
-    sample_holders_batch,
 )
 from repro.graphs.base import Graph
 
@@ -54,109 +47,48 @@ def two_choices_law(alpha: np.ndarray, current_opinion: int) -> np.ndarray:
     return law
 
 
-class TwoChoices(Dynamics):
-    """Synchronous 2-Choices on a complete graph or arbitrary graph.
+def _switch_step(
+    counts: np.ndarray, rng: np.random.Generator, dynamics: str
+) -> np.ndarray:
+    """One round of 2-Choices by the switcher decomposition.
 
-    Parameters
-    ----------
-    group_step_threshold:
-        Cost crossover between the two exact population-step strategies:
-        per-group multinomials cost about ``a^2`` work and direct pair
-        sampling about ``n``; the group strategy is used when
-        ``a^2 <= group_step_threshold * n``.  The default of 4.0 was
-        measured on CPython 3.11 + numpy 2; correctness does not depend
-        on it.
+    ``counts`` is one count vector ``(k,)`` or a matrix ``(R, k)`` of
+    them; every axis but the last is a replica axis.  A vertex switches
+    with probability ``gamma`` and lands on ``j`` with probability
+    ``alpha_j^2 / gamma``.  Check against eq. (6): for ``j != m`` this
+    gives ``gamma * alpha_j^2 / gamma = alpha_j^2``, and for ``j = m``
+    it gives ``(1 - gamma) + alpha_m^2``.  A consensus row is a fixed
+    point (``gamma = 1``, everyone lands on the winner).
     """
+    counts = np.asarray(counts, dtype=np.int64)
+    alpha = counts / counts.sum(axis=-1, keepdims=True)
+    square = alpha * alpha
+    gamma = square.sum(axis=-1, keepdims=True)
+    switchers = rng.binomial(counts, gamma)
+    landed = batch_multinomial_counts(
+        switchers.sum(axis=-1), square / gamma, rng, dynamics
+    )
+    return counts - switchers + landed
+
+
+class TwoChoices(Dynamics):
+    """Synchronous 2-Choices on a complete graph or arbitrary graph."""
 
     name = "2-choices"
     samples_per_round = 2
 
-    def __init__(self, group_step_threshold: float = 4.0) -> None:
-        if group_step_threshold <= 0:
-            raise ValueError("group_step_threshold must be positive")
-        self.group_step_threshold = float(group_step_threshold)
-
     def population_step(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        alive = np.flatnonzero(counts)
-        if alive.size == 1:
-            return counts.copy()
-        n = int(counts.sum())
-        if alive.size**2 <= self.group_step_threshold * n:
-            return self._population_step_groups(counts, alive, n, rng)
-        return self._population_step_pairs(counts, alive, n, rng)
-
-    def _population_step_groups(
-        self,
-        counts: np.ndarray,
-        alive: np.ndarray,
-        n: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Exact per-group multinomial strategy, O(a^2)."""
-        alpha = counts[alive] / n
-        gamma = float(np.dot(alpha, alpha))
-        adopt = alpha * alpha  # P[adopt j] = alpha_j^2, any j != current
-        new_alive = np.zeros(alive.size, dtype=np.int64)
-        for pos in range(alive.size):
-            group_size = int(counts[alive[pos]])
-            law = adopt.copy()
-            law[pos] = 1.0 - gamma + adopt[pos]
-            new_alive += multinomial_counts(group_size, law, rng, self.name)
-        new_counts = np.zeros_like(counts)
-        new_counts[alive] = new_alive
-        return new_counts
+        """One round in O(k) (:func:`_switch_step`)."""
+        return _switch_step(counts, rng, self.name)
 
     def population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """All R replicas via the switcher decomposition, O(R k).
-
-        Eq. (6) is equivalent to a two-stage draw: a vertex *switches*
-        with probability ``gamma`` and, given a switch, lands on opinion
-        ``j`` with probability ``alpha_j^2 / gamma`` (landing on its own
-        opinion counts as staying).  Check: for ``j != m`` this gives
-        ``gamma * alpha_j^2 / gamma = alpha_j^2``, and for ``j = m`` it
-        gives ``(1 - gamma) + alpha_m^2``, both matching eq. (6).
-        Because the landing law is the same for every source group, the
-        per-group multinomials pool into a single draw: switchers per
-        group are binomial and their destinations one multinomial —
-        two vectorised numpy calls for all R replicas, versus the O(a^2)
-        per-group loop of the sequential strategy.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        totals = counts.sum(axis=1)
-        alpha = counts / totals[:, None]
-        gamma = np.einsum("rk,rk->r", alpha, alpha)
-        switchers = rng.binomial(counts, gamma[:, None])
-        landing = alpha * alpha / gamma[:, None]
-        landed = batch_multinomial_counts(
-            switchers.sum(axis=1), landing, rng, self.name
-        )
-        return counts - switchers + landed
-
-    def _population_step_pairs(
-        self,
-        counts: np.ndarray,
-        alive: np.ndarray,
-        n: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Exact direct pair-sampling strategy, O(n).
-
-        Exploits exchangeability: the multiset of new opinions only
-        depends on how many members of each current-opinion group see an
-        agreeing pair, so we lay vertices out in opinion blocks.
-        """
-        alpha = counts[alive] / n
-        w1 = rng.choice(alive.size, size=n, p=alpha)
-        w2 = rng.choice(alive.size, size=n, p=alpha)
-        own = np.repeat(np.arange(alive.size), counts[alive])
-        new = np.where(w1 == w2, w1, own)
-        new_counts = np.zeros_like(counts)
-        new_counts[alive] = np.bincount(new, minlength=alive.size)
-        return new_counts
+        """All R replicas in one binomial and one multinomial call
+        (:func:`_switch_step`)."""
+        return _switch_step(counts, rng, self.name)
 
     def agent_step(
         self,
@@ -200,25 +132,22 @@ class TwoChoices(Dynamics):
     ) -> np.ndarray:
         return two_choices_law(alpha, current_opinion)
 
-    def async_population_step_batch(
+    def async_jump_batch(
         self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jump law of one asynchronous tick across all R rows, O(R k).
 
-        Per row: sample the updating vertex's opinion and its two
-        neighbours' (three integer-exact draws) and apply the
-        combination rule directly — adopt the pair's common opinion,
-        else keep the own one.  This samples eq. (6) exactly without
-        materialising the per-row law.
+        A vertex holding ``m`` moves to ``j != m`` exactly when both of
+        its samples show ``j`` (eq. (6)), so a tick moves ``m -> j``
+        with probability ``alpha_m alpha_j^2``
+        (:func:`~repro.core.base.jump_from_product` with ``q =
+        alpha^2``).
         """
         counts = np.asarray(counts, dtype=np.int64)
-        draws = sample_holders_batch(counts, 3, rng)
-        old, w1, w2 = draws[:, 0], draws[:, 1], draws[:, 2]
-        new = np.where(w1 == w2, w1, old)
-        rows = np.arange(counts.shape[0])
-        counts[rows, old] -= 1
-        counts[rows, new] += 1
-        return counts
+        alpha = counts / counts.sum(axis=1)[:, None]
+        square = alpha * alpha
+        gamma = square.sum(axis=1)[:, None]
+        return jump_from_product(alpha, square, gamma, rng)
 
     def expected_alpha_next(self, alpha: np.ndarray) -> np.ndarray:
         """Lemma 4.1(i): identical closed form to 3-Majority.

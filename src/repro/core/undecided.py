@@ -40,7 +40,7 @@ from repro.core.base import (
     batch_binomial,
     batch_multinomial_counts,
     multinomial_counts,
-    sample_holders_batch,
+    weighted_index,
 )
 from repro.errors import ConfigurationError, StateError
 from repro.graphs.base import Graph
@@ -211,34 +211,32 @@ class UndecidedStateDynamics(Dynamics):
         result[clash] = undecided
         return result
 
-    def async_population_step_batch(
+    def async_jump_batch(
         self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jump law of one asynchronous tick across all R rows, O(R k).
 
         Count vectors use the population-level convention (last label =
-        undecided).  Per row: sample the updating vertex's state and one
-        neighbour's (two integer-exact draws) and apply the USD rule —
-        an undecided vertex adopts what it sees; a decided one stays put
-        on seeing its own opinion or an undecided vertex, and goes
-        undecided on any decided clash.  Exactly
-        :meth:`single_vertex_law`, sampled without materialising it.
+        undecided).  Off the diagonal of :meth:`single_vertex_law` only
+        two moves exist: a decided ``m`` goes undecided on seeing
+        another decided opinion (probability ``alpha_m (1 - alpha_m -
+        alpha_u)``), and an undecided vertex adopts the decided ``j``
+        it sees (probability ``alpha_u alpha_j``).  So ``old`` is drawn
+        from those leave weights, and ``new`` is the undecided label
+        for a decided ``old``, else a decided label ``∝ alpha_j``.  An
+        all-undecided row has ``p_change = 0``.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        undecided = counts.shape[1] - 1
-        draws = sample_holders_batch(counts, 2, rng)
-        old, seen = draws[:, 0], draws[:, 1]
-        new = np.where(
-            old == undecided,
-            seen,
-            np.where(
-                (seen == old) | (seen == undecided), old, undecided
-            ),
-        )
-        rows = np.arange(counts.shape[0])
-        counts[rows, old] -= 1
-        counts[rows, new] += 1
-        return counts
+        num_rows, labels = counts.shape
+        alpha = counts / counts.sum(axis=1)[:, None]
+        undecided = alpha[:, -1:]
+        leave = alpha * (1.0 - alpha - undecided)
+        leave[:, -1:] = undecided * (1.0 - undecided)
+        np.maximum(leave, 0.0, out=leave)
+        u = rng.random((2, num_rows))
+        old, p_change = weighted_index(leave, u[0])
+        adopted = weighted_index(alpha[:, :-1], u[1])[0]
+        return p_change, old, np.where(old == labels - 1, adopted, labels - 1)
 
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int

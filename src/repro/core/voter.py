@@ -16,9 +16,9 @@ from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
     iter_row_chunks,
+    jump_from_product,
     multinomial_counts,
     sample_and_gather_neighbor_opinions_batch,
-    sample_holders_batch,
 )
 from repro.graphs.base import Graph
 
@@ -94,22 +94,18 @@ class Voter(Dynamics):
     ) -> np.ndarray:
         return np.asarray(alpha, dtype=np.float64).copy()
 
-    def async_population_step_batch(
+    def async_jump_batch(
         self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jump law of one asynchronous tick across all R rows, O(R k).
 
-        Per row, the updating vertex and the neighbour it copies are
-        two i.i.d. uniformly random vertices — one integer-exact
-        two-sample draw from the row's counts.
+        The updating vertex and the neighbour it copies are two i.i.d.
+        uniformly random vertices, so a tick moves ``m -> j`` with
+        probability ``alpha_m alpha_j`` for ``j != m``.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        pair = sample_holders_batch(counts, 2, rng)
-        rows = np.arange(counts.shape[0])
-        counts[rows, pair[:, 0]] -= 1
-        counts[rows, pair[:, 1]] += 1
-        return counts
-
+        alpha = counts / counts.sum(axis=1)[:, None]
+        return jump_from_product(alpha, alpha.copy(), 1.0, rng)
     def expected_alpha_next(self, alpha: np.ndarray) -> np.ndarray:
         """The voter fractions are a martingale: ``E[alpha_t] = alpha``."""
         return np.asarray(alpha, dtype=np.float64).copy()

@@ -9,8 +9,9 @@
   ``(R, k)`` count matrix;
 * :class:`BatchAgentEngine` — R replicas of a graph chain as one
   vectorised ``(R, n)`` opinion matrix;
-* :class:`AsyncBatchPopulationEngine` — R asynchronous chains advanced
-  tick-by-tick in lockstep as one vectorised ``(R, k)`` count matrix;
+* :class:`AsyncBatchPopulationEngine` — R asynchronous chains run as
+  one embedded jump chain over a vectorised ``(R, k)`` count matrix,
+  skipping the ticks that change nothing;
 * :class:`ReplicaLoop` — the base of the three batch engines: start
   normalisation, frozen rows, per-row stopping steps, the checked
   adversary call, ``record_hook``, run control and per-replica

@@ -1,38 +1,48 @@
-"""Vectorised asynchronous batch engine: R async chains in lockstep.
+"""Vectorised asynchronous batch engine: R async chains as a jump chain.
 
 The [CMRSS25] asynchronous model updates one uniformly random vertex per
-tick, so ticks are inherently sequential *in time* — the law changes
-after every tick and there is nothing to vectorise within one chain.
-What *can* be vectorised is replication: R independent asynchronous
-chains advanced tick-by-tick in lockstep as one ``(R, k)`` count matrix,
-with each tick's single-vertex update sampled across every active row
-in one call to the dynamics' ``async_population_step_batch``.  A
-``replicate``-style asynchronous workload then costs one vectorised
-Python loop over ticks instead of R sequential ones — the same
-replica-axis trick as :class:`~repro.engine.batch.BatchPopulationEngine`
-applied to the paper's sync-vs-async ``~O(min(kn, n^{3/2}))``
-comparison (``benchmarks/bench_async_batch.py`` tracks the speedup).
+tick, and most ticks change nothing: the vertex re-samples the opinion
+it already holds.  This engine runs the *embedded jump chain* instead
+(cf. Gillespie 1977, *J. Phys. Chem.* 81:2340).  From a configuration
+with change probability ``p`` per tick, the number of ticks up to and
+including the next change is Geometric(``p``), and the change itself is
+a draw from the tick's law conditioned on a change — both from the
+dynamics' :meth:`~repro.core.base.Dynamics.async_jump_batch`.  Every
+replica row keeps its own tick clock, and one loop iteration makes one
+jump for every row still below the current horizon, as one vectorised
+call over the ``(R, k)`` count matrix.
+
+Stopping a row at a horizon ``T`` is exact: a holding time that
+overshoots ``T`` says only that no change happens up to ``T``, and the
+geometric law is memoryless, so the row resumes at ``T`` with a fresh
+draw.  :meth:`~AsyncBatchPopulationEngine.step` sets ``T`` one tick
+ahead (a geometric truncated at one tick is Bernoulli(``p``): one tick
+of the plain chain); :meth:`~AsyncBatchPopulationEngine.run_ticks` and
+:meth:`~AsyncBatchPopulationEngine.run_until_consensus` set longer
+horizons and skip every null tick in between.
 
 Each row is the same Markov chain a single
 :class:`~repro.engine.asynchronous.AsyncPopulationEngine` runs (the
-tests check distributional agreement via KS tests), but all rows share
-one generator, so a batch run is equal to R seeded sequential runs in
-distribution, not in realisation.
+tests check the one-tick law exactly and consensus ticks via KS tests),
+but all rows share one generator, so a batch run is equal to R seeded
+sequential runs in distribution, not in realisation.
 
-Rows are frozen the tick they reach the dynamics' consensus, with the
-stopping tick kept by the shared
-:class:`~repro.engine.replica_loop.ReplicaLoop`; the check is gated by
-the cheap one-opinion-holds-all filter, so its per-tick cost is one
-row-wise max.  An optional F-bounded
+Only a jump can bring a row to consensus, and only when its destination
+label then holds all ``n`` vertices, so the stopping check gathers one
+entry per moved row before the dynamics' own convention confirms it.
+Rows freeze at the tick of that jump, kept by the shared
+:class:`~repro.engine.replica_loop.ReplicaLoop`.  An optional F-bounded
 adversary corrupts every active row once per synchronous-equivalent
-round (after every ``n`` ticks — the same [GL18] budget translation as
-the sequential asynchronous engine) through the vectorised
-``corrupt_batch`` contract path.
+round (after every ``n``-th tick's update — the same [GL18] budget
+translation as the sequential asynchronous engine): each multiple of
+``n`` is also a horizon, where the rows wait for each other and then
+take one checked vectorised ``corrupt_batch``.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -53,18 +63,22 @@ from repro.seeding import RandomState
 
 __all__ = ["AsyncBatchPopulationEngine"]
 
+#: Stand-in for a zero change probability in the holding-time draw:
+#: its holding time (~1e300 ticks) overshoots any horizon.
+_TINY = 1e-300
+
 
 class AsyncBatchPopulationEngine(ReplicaLoop):
-    """Advance R asynchronous chains tick-by-tick as one count matrix.
+    """Advance R asynchronous chains as one count matrix, jump by jump.
 
     Parameters
     ----------
     dynamics:
         Any :class:`~repro.core.base.Dynamics` with asynchronous
         support.  Every catalogued dynamics runs fully vectorised via
-        its ``async_population_step_batch`` override; third-party
-        dynamics without one fall back to a per-row loop over
-        ``async_population_step`` (correct, no speedup).
+        its ``async_jump_batch`` override; third-party dynamics fall
+        back to the base class's per-row law built from
+        ``single_vertex_law`` (correct, no speedup).
     counts:
         Either a 1-D count vector shared by every replica, or an
         ``(R, k)`` matrix giving each replica its own start (same
@@ -80,22 +94,27 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
         round (every ``n`` ticks) via ``corrupt_batch``
         (contract-checked per row).
     backend:
-        Optional compute backend pinned for this engine's ticks (name,
+        Optional compute backend pinned for this engine's steps (name,
         instance, or ``None``/``"auto"`` to inherit the ambient backend
         — see :mod:`repro.backends`); a pure performance knob that
         never changes the sampled law.
     record_hook:
-        Optional observation callback ``hook(tick_index, counts,
-        frozen)`` invoked after every :meth:`step` (i.e. per tick) with
-        the engine's own state.  Costs nothing when ``None``; used by
-        :mod:`repro.invariants` to record traces.
+        Optional observation callback ``hook(index, counts, frozen)``
+        invoked after every :meth:`step` with the engine's own state;
+        ``index`` counts the :meth:`step` calls so far.  Stepped by
+        hand, one call is one tick; inside :meth:`run_ticks` and
+        :meth:`run_until_consensus` one call is one jump iteration,
+        whose rows may sit at different ticks (see :attr:`row_ticks`).
+        Costs nothing when ``None``; used by :mod:`repro.invariants` to
+        record traces.
 
     Attributes
     ----------
     counts:
         The ``(R, k)`` configuration matrix (owned by the engine).
     tick_index:
-        Asynchronous ticks executed so far (shared by all replicas).
+        Asynchronous ticks executed so far: between calls, the tick
+        every unfinished row has reached.
     frozen:
         Boolean ``(R,)`` mask of replicas that reached consensus.
     consensus_ticks:
@@ -120,6 +139,12 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
         self.num_opinions = int(self.counts.shape[1])
         self.num_vertices = int(self.counts[0].sum())
         self._start(self.counts)
+        self._active = np.flatnonzero(~self.frozen)
+        self._clock = np.zeros(self.num_replicas, dtype=np.int64)
+        # The tick the current run aims for; step() on its own aims
+        # one tick past tick_index.
+        self._horizon = 0
+        self._calls = 0
 
     tick_index = counter_alias(
         "_steps", "Asynchronous ticks executed so far (all replicas)."
@@ -128,45 +153,106 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
         "_stop_step", "Per-replica stopping ticks (-1 while unfinished)."
     )
 
-    def step(self) -> np.ndarray:
-        """Execute one asynchronous tick on every unfinished replica.
+    @property
+    def row_ticks(self) -> np.ndarray:
+        """Per-replica tick clocks: the tick each row has been simulated
+        through (a frozen row's is its stopping tick)."""
+        return self._clock.copy()
 
-        Frozen rows are excluded from sampling (and from corruption)
-        and keep their counts.  With an adversary, every ``n``-th tick
-        closes a synchronous-equivalent round and triggers one checked
-        vectorised corruption of the active rows.  Rows reaching the
-        dynamics' consensus this tick — checked after the corruption,
-        matching the sequential adversarial chain — record the tick and
-        freeze.
+    def step(self) -> np.ndarray:
+        """Make one jump for every unfinished row below the horizon.
+
+        Called on its own the horizon is ``tick_index + 1``, so this
+        executes exactly one asynchronous tick on every unfinished row:
+        a row changes with probability ``p_change`` (a geometric
+        holding time truncated at one tick).  Within :meth:`run_ticks`
+        and :meth:`run_until_consensus` it is one iteration of the jump
+        chain: each row below the horizon draws its holding time and,
+        if the change falls within the horizon, applies it at that
+        tick; otherwise the row moves to the horizon unchanged.
+
+        With an adversary, each multiple of ``n`` is a horizon too;
+        once every active row has reached it, they are corrupted
+        (checked) after that tick's update.  Rows whose jump reaches
+        the dynamics' consensus freeze at the jump's tick — rows
+        landing on a corruption tick are checked after the corruption,
+        matching the sequential adversarial chain.  Frozen rows are
+        never sampled or corrupted again.
         """
-        active = ~self.frozen
-        self._steps += 1
-        if active.any():
-            with use_backend(self.backend):
-                new_rows = self.dynamics.async_population_step_batch(
-                    self.counts[active], self.rng
-                )
-            if (
-                self.adversary is not None
-                and self._steps % self.num_vertices == 0
-            ):
-                new_rows = self._corrupt(new_rows)
-            self.counts[active] = new_rows
-            # Cheap hot-path filter first (one row-wise max); only rows
-            # where a single label holds everything pay the dynamics'
-            # own convention check — for Undecided-State an
-            # all-undecided row never freezes (it surfaces as
-            # censored), exactly like the sequential async engine.
-            hit = new_rows.max(axis=1) == self.num_vertices
-            if hit.any():
-                confirmed = np.zeros_like(hit)
-                confirmed[hit] = np.asarray(
-                    self.dynamics.consensus_mask_batch(new_rows[hit]),
-                    dtype=bool,
-                )
-                self._freeze(np.flatnonzero(active)[confirmed])
-        self._record()
+        n = self.num_vertices
+        horizon = max(self._horizon, self._steps + 1)
+        stop = horizon
+        if self.adversary is not None:
+            stop = min(stop, (self._steps // n + 1) * n)
+        self._calls += 1
+        # Every unfrozen row draws a jump; rows already at the horizon
+        # (waiting for the others at a corruption tick) have a gap of
+        # zero, so theirs never lands.
+        rows = self._active
+        if rows.size == 0:
+            # Every row is frozen: time passes, nothing else happens.
+            self._steps = horizon
+            self._record(self._calls)
+            return self.counts
+        with nullcontext() if self.backend is None else use_backend(
+            self.backend
+        ):
+            p_change, old, new = self.dynamics.async_jump_batch(
+                self.counts[rows], self.rng
+            )
+        # Holding time H = floor(log(U) / log(1 - p)) + 1 with U uniform
+        # is Geometric(p); the change lands within the horizon iff
+        # H <= gap, i.e. floor(...) < gap.  A row with p = 0 gets a
+        # holding time beyond 1e280 ticks, so it never changes.
+        hold = np.floor(
+            np.log(self.rng.random(rows.size))
+            / np.log1p(-np.maximum(p_change, _TINY))
+        )
+        clock = self._clock[rows]
+        jumped = hold < stop - clock
+        clock = np.minimum(clock + hold + 1, stop)
+        self._clock[rows] = clock
+        self.counts[rows, old] -= jumped
+        landed = self.counts[rows, new] + jumped
+        self.counts[rows, new] = landed
+        # Only a jump can complete a consensus; one landing on a
+        # corruption tick is checked after the corruption instead.
+        hit = jumped & (landed == n)
+        if self.adversary is not None:
+            hit &= clock % n != 0
+        if hit.any():
+            self._confirm(rows[hit])
+        if self.adversary is not None and stop % n == 0:
+            rows = self._active
+            if rows.size and (self._clock[rows] == stop).all():
+                self.counts[rows] = self._corrupt(self.counts[rows])
+                self._confirm(rows[self.counts[rows].max(axis=1) == n])
+        if self._active is not rows:
+            # Rows froze: the clock of the slowest remaining one counts.
+            clock = self._clock[self._active]
+        self._steps = (
+            int(clock.min())
+            if clock.size
+            else max(self._steps, int(self._stop_step.max()))
+        )
+        self._record(self._calls)
         return self.counts
+
+    def _confirm(self, rows: np.ndarray) -> None:
+        """Freeze those of ``rows`` (one label holds everything) that
+        are at consensus under the dynamics' own convention, at their
+        own tick.  For Undecided-State an all-undecided row never
+        freezes (it surfaces as censored), exactly like the sequential
+        async engine."""
+        done = rows[
+            np.asarray(
+                self.dynamics.consensus_mask_batch(self.counts[rows]),
+                dtype=bool,
+            )
+        ]
+        if done.size:
+            self._freeze(done, self._clock[done])
+            self._active = np.flatnonzero(~self.frozen)
 
     def run_ticks(self, ticks: int) -> np.ndarray:
         """Execute exactly ``ticks`` ticks (finished rows stay frozen)."""
@@ -174,9 +260,25 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
             raise ConfigurationError(
                 f"ticks must be non-negative, got {ticks}"
             )
-        for _ in range(ticks):
-            self.step()
+        self._horizon = self._steps + ticks
+        try:
+            while self._steps < self._horizon:
+                self.step()
+        finally:
+            self._horizon = 0
         return self.counts
+
+    def run_until_consensus(self, max_ticks: int) -> list[RunResult]:
+        """Jump until every replica froze or ``max_ticks`` ticks passed.
+
+        Censored rows report ``max_ticks`` ticks, as with tick-by-tick
+        stepping.  Returns :meth:`results`.
+        """
+        self._horizon = max_ticks
+        try:
+            return super().run_until_consensus(max_ticks)
+        finally:
+            self._horizon = 0
 
     def _units(self, ticks: int) -> dict:
         """``rounds`` is the synchronous-equivalent ``ceil(ticks / n)``
@@ -225,8 +327,8 @@ register_engine(
     "async-batch",
     _run_spec,
     description=(
-        "R one-vertex-per-tick chains advanced in lockstep as one "
-        "(R, k) count matrix"
+        "R one-vertex-per-tick chains run as one jump chain over an "
+        "(R, k) count matrix, skipping ticks that change nothing"
     ),
     supports_target=False,
     supports_observers=False,

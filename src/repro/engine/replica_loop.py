@@ -10,8 +10,8 @@ are never sampled or corrupted again, and the per-row stopping steps
 become one :class:`~repro.engine.runner.RunResult` per replica.
 :class:`ReplicaLoop` owns that freeze-record-report loop; a subclass
 supplies its state matrix and its ``step`` (one synchronous round, or
-one asynchronous tick), plus a ``_stopped`` rule when the default
-count-level one does not fit.
+one jump of the asynchronous jump chain), plus a ``_stopped`` rule when
+the default count-level one does not fit.
 
 Each subclass keeps ``step`` in its own class body: that is where the
 per-step cost lives, and where per-engine tracing hooks in.
@@ -191,15 +191,23 @@ class ReplicaLoop:
             counts, corrupted, self.adversary.budget
         )
 
-    def _freeze(self, done: np.ndarray) -> None:
-        """Record the current step for rows ``done`` and freeze them."""
-        self._stop_step[done] = self._steps
+    def _freeze(
+        self, done: np.ndarray, steps: np.ndarray | None = None
+    ) -> None:
+        """Record the stopping step for rows ``done`` (the current step
+        unless ``steps`` gives theirs) and freeze them."""
+        self._stop_step[done] = self._steps if steps is None else steps
         self.frozen[done] = True
 
-    def _record(self) -> None:
-        """Call ``record_hook(step, counts, frozen)`` if one is set."""
+    def _record(self, index: int | None = None) -> None:
+        """Call ``record_hook(index, counts, frozen)`` if one is set;
+        ``index`` defaults to the current step."""
         if self.record_hook is not None:
-            self.record_hook(self._steps, self.counts, self.frozen)
+            self.record_hook(
+                self._steps if index is None else index,
+                self.counts,
+                self.frozen,
+            )
 
     # ------------------------------------------------------------------
     # Run control and results

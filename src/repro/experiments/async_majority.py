@@ -14,13 +14,13 @@ rising branch, and ticks/n tracks the synchronous round count within a
 constant factor.
 
 Both sides of the comparison replicate *batched*: the asynchronous
-chains advance tick-by-tick in lockstep inside one
+chains run as one jump chain inside one
 :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine` (all
-``num_runs`` replicas of a k-point per Python tick-loop iteration
-instead of ``num_runs`` sequential tick loops), and the synchronous
-side goes through ``engine="batch"``.  Per replica both engines sample
-the same chains as the sequential ones — equal in distribution, not in
-realisation, since a batch shares one stream.
+``num_runs`` replicas of a k-point make one jump per Python loop
+iteration, and ticks that change nothing are skipped), and the
+synchronous side goes through ``engine="batch"``.  Per replica both
+engines sample the same chains as the sequential ones — equal in
+distribution, not in realisation, since a batch shares one stream.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
     ratio_band: list[float] = []
     for k_idx, k in enumerate(params["ks"]):
         tick_budget = int(40.0 * min(k * n, n**1.5) * log_n)
-        # All num_runs asynchronous replicas of this k-point advance in
-        # lockstep as one (R, k) matrix — one vectorised tick loop.
+        # All num_runs asynchronous replicas of this k-point run as one
+        # (R, k) jump chain — one vectorised loop over jumps.
         engine = AsyncBatchPopulationEngine(
             dynamics,
             balanced(n, k),

@@ -7,7 +7,7 @@ into the sequential fallback.  This rule statically checks, for every
 concrete ``Dynamics`` subclass in ``core/``:
 
 * the vectorized overrides *exist* — ``population_step_batch`` and
-  ``async_population_step_batch`` for every catalogue dynamics, plus
+  ``async_jump_batch`` for every catalogue dynamics, plus
   ``agent_step_batch`` for the pull-based paper trio — because a
   deleted override silently falls back to the base class's row loop,
   which scanning the subclass alone can't see; and
@@ -38,7 +38,7 @@ __all__ = ["NoRowLoopRule"]
 _CHUNK_ITERATORS = frozenset({"iter_row_chunks"})
 
 #: Overrides every concrete core dynamics must provide.
-_REQUIRED_OVERRIDES = ("population_step_batch", "async_population_step_batch")
+_REQUIRED_OVERRIDES = ("population_step_batch", "async_jump_batch")
 
 #: The pull-based paper dynamics additionally need the vectorized
 #: agent-level (graph) step; the others run agent-level sequentially.
@@ -70,7 +70,7 @@ class NoRowLoopRule:
     name = "no-row-loop"
     description = (
         "concrete Dynamics subclasses in core/ must provide their "
-        "*_step_batch overrides and keep them free of Python loops over "
+        "*_batch overrides and keep them free of Python loops over "
         "the replica axis (chunk iterators like iter_row_chunks allowed)"
     )
     severity = "error"

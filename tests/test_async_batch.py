@@ -54,13 +54,14 @@ from repro.simulation import SimulationSpec, execute
 
 
 class _RowLoopThreeMajority(ThreeMajority):
-    """3-Majority with the vectorised async override stripped.
+    """3-Majority with the vectorised async jump law stripped.
 
-    Forces the engine through the base-class row-loop fallback, so the
-    fallback path gets its own KS equivalence and ledger coverage.
+    Forces the engine through the base-class row-loop fallback (the
+    jump law built from ``single_vertex_law``), so the fallback path
+    gets its own KS equivalence and ledger coverage.
     """
 
-    async_population_step_batch = Dynamics.async_population_step_batch
+    async_jump_batch = Dynamics.async_jump_batch
 
 
 def _sequential_ticks(dynamics, counts, runs, seed, max_ticks=10_000_000):

@@ -177,45 +177,6 @@ class TestTwoChoicesLaw:
                     law[a if a == b else own] += p
             assert two_choices_law(alpha, own) == pytest.approx(law)
 
-    def test_group_and_pair_strategies_agree(self, rng_factory):
-        """Both exact strategies give the same mean and variance."""
-        counts = np.asarray([300, 200, 100, 400], dtype=np.int64)
-        n = int(counts.sum())
-        dynamics = TwoChoices()
-        alive = np.flatnonzero(counts)
-        reps = 4000
-        group_samples = np.empty((reps, 4))
-        pair_samples = np.empty((reps, 4))
-        rng_a, rng_b = rng_factory(1), rng_factory(2)
-        for row in range(reps):
-            group_samples[row] = dynamics._population_step_groups(
-                counts, alive, n, rng_a
-            )
-            pair_samples[row] = dynamics._population_step_pairs(
-                counts, alive, n, rng_b
-            )
-        mean_gap = np.abs(
-            group_samples.mean(axis=0) - pair_samples.mean(axis=0)
-        )
-        pooled_sem = np.sqrt(
-            group_samples.var(axis=0) / reps
-            + pair_samples.var(axis=0) / reps
-        )
-        assert np.all(mean_gap < 5 * pooled_sem + 1e-9)
-        var_ratio = group_samples.var(axis=0) / pair_samples.var(axis=0)
-        assert np.all((var_ratio > 0.8) & (var_ratio < 1.25))
-
-    def test_threshold_dispatch(self, rng):
-        # Tiny threshold forces the pair strategy even for small support.
-        dynamics = TwoChoices(group_step_threshold=1e-9)
-        counts = np.asarray([50, 50], dtype=np.int64)
-        new = dynamics.population_step(counts, rng)
-        assert new.sum() == 100
-
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            TwoChoices(group_step_threshold=0.0)
-
     def test_population_step_matches_mean(self, rng):
         n = 100_000
         counts = np.asarray([60_000, 40_000])

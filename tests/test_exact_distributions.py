@@ -122,25 +122,16 @@ class TestExactLaws:
         _compare(exact, sampled, REPS, "3maj agent")
 
     def test_two_choices_population(self, rng):
-        counts = [3, 2]
-        exact = _next_count_distribution_2cho(counts)
+        # Two labels, then three (where a switcher can land on a third
+        # opinion and the per-group laws differ in more than one cell).
         dynamics = TwoChoices()
-        base = np.asarray(counts, dtype=np.int64)
-        sampled = _sampled_frequencies(
-            lambda: dynamics.population_step(base, rng), REPS
-        )
-        _compare(exact, sampled, REPS, "2cho population")
-
-    def test_two_choices_pair_strategy(self, rng):
-        counts = np.asarray([3, 2], dtype=np.int64)
-        exact = _next_count_distribution_2cho([3, 2])
-        dynamics = TwoChoices()
-        alive = np.flatnonzero(counts)
-        sampled = _sampled_frequencies(
-            lambda: dynamics._population_step_pairs(counts, alive, 5, rng),
-            REPS,
-        )
-        _compare(exact, sampled, REPS, "2cho pairs")
+        for counts in ([3, 2], [2, 1, 1]):
+            exact = _next_count_distribution_2cho(counts)
+            base = np.asarray(counts, dtype=np.int64)
+            sampled = _sampled_frequencies(
+                lambda: dynamics.population_step(base, rng), REPS
+            )
+            _compare(exact, sampled, REPS, f"2cho population {counts}")
 
     def test_two_choices_agent(self, rng):
         counts = [3, 2]

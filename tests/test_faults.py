@@ -855,17 +855,19 @@ class TestKernelDegradation:
     def test_execute_records_degradation_on_result(
         self, exploding_backend
     ):
+        from repro.graphs import CompleteGraph
         from repro.simulation import Simulation
 
-        # 5-majority's async-batch tick reduces each row's sampled
+        # 5-majority's agent-level step reduces each vertex's sampled
         # neighbours through majority_winners, which dispatches through
-        # backend kernels (its synchronous step draws from the exact
-        # law and never asks the backend for anything).
+        # backend kernels (its population and async steps draw from the
+        # exact law and never ask the backend for anything).
         spec = (
             Simulation.of("5-majority")
             .n(32)
             .k(2)
-            .engine("async-batch")
+            .on_graph(CompleteGraph(32))
+            .batch()
             .replicas(2)
             .seed(0)
             .max_rounds(4000)

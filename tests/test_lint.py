@@ -177,7 +177,7 @@ def test_no_row_loop_flags_loop_and_missing_override(tmp_path):
     messages = [d.render() for d in diagnostics]
     assert (
         "core/dyn.py:4: no-row-loop Looped does not override "
-        "async_population_step_batch; without it the base class "
+        "async_jump_batch; without it the base class "
         "row-loop fallback runs and the batch engines lose their "
         "speedup"
     ) in messages
@@ -199,7 +199,7 @@ def test_no_row_loop_requires_agent_batch_for_pull_trio(tmp_path):
                     def population_step_batch(self, counts, rng):
                         return counts
 
-                    def async_population_step_batch(self, counts, rng):
+                    def async_jump_batch(self, counts, rng):
                         return counts
             """
         },
@@ -229,7 +229,7 @@ def test_no_row_loop_allows_chunk_iterators_and_base_class(tmp_path):
                             counts[start:stop] *= 1
                         return counts
 
-                    def async_population_step_batch(self, counts, rng):
+                    def async_jump_batch(self, counts, rng):
                         return counts
             """
         },
@@ -254,7 +254,7 @@ def test_registry_completeness_unregistered_dynamics(tmp_path):
                     def population_step_batch(self, counts, rng):
                         return counts
 
-                    def async_population_step_batch(self, counts, rng):
+                    def async_jump_batch(self, counts, rng):
                         return counts
 
                     def agent_step_batch(self, opinions, graph, rng):
@@ -265,7 +265,7 @@ def test_registry_completeness_unregistered_dynamics(tmp_path):
                     def population_step_batch(self, counts, rng):
                         return counts
 
-                    def async_population_step_batch(self, counts, rng):
+                    def async_jump_batch(self, counts, rng):
                         return counts
             """,
         },
@@ -394,7 +394,7 @@ def test_registry_completeness_clean_tree(tmp_path):
                     def population_step_batch(self, counts, rng):
                         return counts
 
-                    def async_population_step_batch(self, counts, rng):
+                    def async_jump_batch(self, counts, rng):
                         return counts
 
                     def agent_step_batch(self, opinions, graph, rng):
