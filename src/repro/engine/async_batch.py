@@ -64,7 +64,7 @@ from repro.seeding import RandomState
 __all__ = ["AsyncBatchPopulationEngine"]
 
 #: Stand-in for a zero change probability in the holding-time draw:
-#: its holding time (~1e300 ticks) overshoots any horizon.
+#: its holding time (over 1e280 ticks) overshoots any horizon.
 _TINY = 1e-300
 
 
