@@ -7,7 +7,7 @@ heuristic, not a theorem — this example measures how well it holds on
 actual runs, k by k.
 
 Both sides replicate batched: all RUNS asynchronous chains of a k-point
-advance tick-by-tick in lockstep inside one
+run as one jump chain (skipping ticks that change nothing) inside one
 ``AsyncBatchPopulationEngine``, and the synchronous side runs all RUNS
 replicas as one ``(R, k)`` matrix in a ``BatchPopulationEngine``.
 
