@@ -31,6 +31,7 @@ from scipy.stats import chi2, ks_2samp, ncx2
 from repro.adversary import SupportRunnerUp
 from repro.configs import balanced
 from repro.core import (
+    Dynamics,
     HMajority,
     MedianRule,
     ThreeMajority,
@@ -158,6 +159,22 @@ def test_jump_law_matches_closed_form(dynamics, matrix):
         if expected_p > 0:
             assert np.abs(law - expected_law).max() < 1e-12
             assert np.diag(law).max() == 0.0
+
+
+class _RowLoopMedian(MedianRule):
+    """Median with the base class's jump law (built row by row from
+    ``single_vertex_law``), the path third-party dynamics take."""
+
+    async_jump_batch = Dynamics.async_jump_batch
+
+
+def test_base_class_jump_law_matches_closed_form():
+    counts = MATRICES[1]
+    for row in range(counts.shape[0]):
+        p_change, law = probed_law(_RowLoopMedian(), counts, row)
+        expected_p, expected_law = closed_form(MedianRule(), counts[row])
+        assert abs(p_change - expected_p) < 1e-12
+        assert np.abs(law - expected_law).max() < 1e-12
 
 
 def test_absorbing_rows_never_change():
