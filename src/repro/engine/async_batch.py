@@ -223,10 +223,12 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
         if hit.any():
             self._confirm(rows[hit])
         if self.adversary is not None and stop % n == 0:
-            rows = self._active
-            if rows.size and (self._clock[rows] == stop).all():
-                self.counts[rows] = self._corrupt(self.counts[rows])
-                self._confirm(rows[self.counts[rows].max(axis=1) == n])
+            active = self._active
+            if active.size and (self._clock[active] == stop).all():
+                self.counts[active] = self._corrupt(self.counts[active])
+                self._confirm(
+                    active[self.counts[active].max(axis=1) == n]
+                )
         if self._active is not rows:
             # Rows froze: the clock of the slowest remaining one counts.
             clock = self._clock[self._active]

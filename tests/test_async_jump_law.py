@@ -386,6 +386,9 @@ def test_adversarial_long_jumps_match_single_ticks():
     while not ticked.all_consensus():
         ticked.step()
     assert jumped.all_consensus()
+    # The run ends at the tick the last row froze, jumps or no jumps.
+    for run in (jumped, ticked):
+        assert run.tick_index == run.consensus_ticks.max()
     assert ks_2samp(
         jumped.consensus_ticks, ticked.consensus_ticks
     ).pvalue > G_LEVEL
