@@ -291,6 +291,7 @@ class HMajority(Dynamics):
         return jump_from_product(
             alpha, hmajority_law(alpha, self.h), 1.0, rng
         )
+
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int
     ) -> np.ndarray:

@@ -166,6 +166,7 @@ class ThreeMajority(Dynamics):
         gamma = np.einsum("rk,rk->r", alpha, alpha)
         law = alpha * (1.0 + alpha - gamma[:, None])
         return jump_from_product(alpha, law, 1.0, rng)
+
     def expected_alpha_next(self, alpha: np.ndarray) -> np.ndarray:
         """Lemma 4.1(i): ``E[alpha_t(i)] = alpha_i (1 + alpha_i - gamma)``."""
         return three_majority_law(alpha)

@@ -106,6 +106,7 @@ class Voter(Dynamics):
         counts = np.asarray(counts, dtype=np.int64)
         alpha = counts / counts.sum(axis=1)[:, None]
         return jump_from_product(alpha, alpha.copy(), 1.0, rng)
+
     def expected_alpha_next(self, alpha: np.ndarray) -> np.ndarray:
         """The voter fractions are a martingale: ``E[alpha_t] = alpha``."""
         return np.asarray(alpha, dtype=np.float64).copy()

@@ -42,8 +42,6 @@ take one checked vectorised ``corrupt_batch``.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
-
 import numpy as np
 
 from repro.adversary.base import Adversary
@@ -99,14 +97,10 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
         — see :mod:`repro.backends`); a pure performance knob that
         never changes the sampled law.
     record_hook:
-        Optional observation callback ``hook(index, counts, frozen)``
-        invoked after every :meth:`step` with the engine's own state;
-        ``index`` counts the :meth:`step` calls so far.  Stepped by
-        hand, one call is one tick; inside :meth:`run_ticks` and
-        :meth:`run_until_consensus` one call is one jump iteration,
-        whose rows may sit at different ticks (see :attr:`row_ticks`).
-        Costs nothing when ``None``; used by :mod:`repro.invariants` to
-        record traces.
+        Optional observation callback ``hook(tick_index, counts,
+        frozen)`` invoked after every :meth:`step` with the engine's
+        own state.  Costs nothing when ``None``; used by
+        :mod:`repro.invariants` to record traces.
 
     Attributes
     ----------
@@ -144,7 +138,6 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
         # The tick the current run aims for; step() on its own aims
         # one tick past tick_index.
         self._horizon = 0
-        self._calls = 0
 
     tick_index = counter_alias(
         "_steps", "Asynchronous ticks executed so far (all replicas)."
@@ -152,12 +145,6 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
     consensus_ticks = counter_alias(
         "_stop_step", "Per-replica stopping ticks (-1 while unfinished)."
     )
-
-    @property
-    def row_ticks(self) -> np.ndarray:
-        """Per-replica tick clocks: the tick each row has been simulated
-        through (a frozen row's is its stopping tick)."""
-        return self._clock.copy()
 
     def step(self) -> np.ndarray:
         """Make one jump for every unfinished row below the horizon.
@@ -184,7 +171,6 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
         stop = horizon
         if self.adversary is not None:
             stop = min(stop, (self._steps // n + 1) * n)
-        self._calls += 1
         # Every unfrozen row draws a jump; rows already at the horizon
         # (waiting for the others at a corruption tick) have a gap of
         # zero, so theirs never lands.
@@ -192,11 +178,9 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
         if rows.size == 0:
             # Every row is frozen: time passes, nothing else happens.
             self._steps = horizon
-            self._record(self._calls)
+            self._record()
             return self.counts
-        with nullcontext() if self.backend is None else use_backend(
-            self.backend
-        ):
+        with use_backend(self.backend):
             p_change, old, new = self.dynamics.async_jump_batch(
                 self.counts[rows], self.rng
             )
@@ -237,7 +221,7 @@ class AsyncBatchPopulationEngine(ReplicaLoop):
             if clock.size
             else max(self._steps, int(self._stop_step.max()))
         )
-        self._record(self._calls)
+        self._record()
         return self.counts
 
     def _confirm(self, rows: np.ndarray) -> None:

@@ -199,15 +199,10 @@ class ReplicaLoop:
         self._stop_step[done] = self._steps if steps is None else steps
         self.frozen[done] = True
 
-    def _record(self, index: int | None = None) -> None:
-        """Call ``record_hook(index, counts, frozen)`` if one is set;
-        ``index`` defaults to the current step."""
+    def _record(self) -> None:
+        """Call ``record_hook(step, counts, frozen)`` if one is set."""
         if self.record_hook is not None:
-            self.record_hook(
-                self._steps if index is None else index,
-                self.counts,
-                self.frozen,
-            )
+            self.record_hook(self._steps, self.counts, self.frozen)
 
     # ------------------------------------------------------------------
     # Run control and results

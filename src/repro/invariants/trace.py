@@ -7,8 +7,7 @@ sequence of :class:`TraceSnapshot` observations over an ``(R, k)``
 count matrix plus a per-row frozen mask, with the adversary's actual
 per-round movements captured by :class:`LedgerAdversary` as they
 happen.  Sequential engines trace as ``R = 1``; the asynchronous
-engines, stepped one tick at a time, snapshot per tick with ``index``
-counting ticks.
+engines snapshot with ``index`` counting ticks.
 
 The ledger wrapper is what makes budget accounting engine-agnostic:
 rather than teaching six engines to report what their adversary did,

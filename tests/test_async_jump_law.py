@@ -310,7 +310,7 @@ def test_first_change_tick_is_geometric(dynamics):
     first = np.zeros(replicas, dtype=np.int64)
     while (first == 0).any():
         engine.step()
-        assert (engine.row_ticks[~engine.frozen] == engine.tick_index).all()
+        assert (engine._clock[~engine.frozen] == engine.tick_index).all()
         changed = (engine.counts != G_ROW).any(axis=1) & (first == 0)
         first[changed] = engine.tick_index
     # Bins 1..B with expected count >= 5 each, plus the tail beyond B.
@@ -335,9 +335,9 @@ def test_run_ticks_parks_every_unfrozen_row_at_the_horizon(
     for horizon in (7, 12, 37, 60):
         engine.run_ticks(horizon - engine.tick_index)
         assert engine.tick_index == horizon
-        assert (engine.row_ticks[~engine.frozen] == horizon).all()
+        assert (engine._clock[~engine.frozen] == horizon).all()
         stopped = engine.consensus_ticks[engine.frozen]
-        assert (engine.row_ticks[engine.frozen] == stopped).all()
+        assert (engine._clock[engine.frozen] == stopped).all()
         assert (stopped <= horizon).all()
     engine.step()
     assert engine.tick_index == 61

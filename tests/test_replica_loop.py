@@ -103,12 +103,19 @@ class TestReplicaLoopContract:
         loop.run_until_consensus(1_000_000)
         assert loop.all_consensus()
         steps = len(calls)
-        assert [index for index, _, _ in calls] == list(range(1, steps + 1))
+        indices = [index for index, _, _ in calls]
+        # The index is the step counter: rounds, or ticks for
+        # async-batch, whose jump iterations inside a run may skip
+        # ticks, so there it only increases strictly.
+        assert all(b > a for a, b in zip(indices, indices[1:]))
+        assert indices[-1] == loop._steps
+        if engine != "async-batch":
+            assert indices == list(range(1, steps + 1))
         assert all((counts.sum(axis=1) == 40).all() for _, counts, _ in calls)
         # Stepping a fully frozen engine still reports, once per step.
         loop.step()
         assert len(calls) == steps + 1
         index, counts, frozen = calls[-1]
-        assert index == steps + 1
+        assert index == indices[-1] + 1
         assert frozen.all()
         assert (counts == loop.counts).all()
